@@ -71,10 +71,14 @@ PeelingDecoder::row_accumulator(std::uint32_t row) const {
           symbol_size_};
 }
 
-std::uint32_t PeelingDecoder::make_known(PacketId id, const std::uint8_t* payload) {
+void PeelingDecoder::make_known(PacketId id, const std::uint8_t* payload,
+                                std::vector<PacketId>* recovered) {
   known_[id] = 1;
   ++known_total_;
-  if (id < k_) ++known_sources_;
+  if (id < k_) {
+    ++known_sources_;
+    if (recovered != nullptr) recovered->push_back(id);
+  }
   std::uint8_t* stored = nullptr;
   if (symbol_size_ > 0) {
     stored = symbols_.data() + static_cast<std::size_t>(id) * symbol_size_;
@@ -90,49 +94,49 @@ std::uint32_t PeelingDecoder::make_known(PacketId id, const std::uint8_t* payloa
           stored, symbol_size_);
     if (--row_unknowns_[r] == 1) ready_rows_.push_back(r);
   }
-  return 1;
 }
 
-void PeelingDecoder::cascade(std::vector<std::uint32_t>& ready,
-                             std::uint32_t& newly) {
-  while (!ready.empty()) {
-    const std::uint32_t r = ready.back();
-    ready.pop_back();
+std::uint32_t PeelingDecoder::learn(PacketId id,
+                                    std::span<const std::uint8_t> payload,
+                                    std::vector<PacketId>* recovered) {
+  if (known_[id]) return 0;  // duplicate: no new information
+  const std::uint32_t before = known_total_;
+  make_known(id, payload.data(), recovered);
+  while (!ready_rows_.empty()) {
+    const std::uint32_t r = ready_rows_.back();
+    ready_rows_.pop_back();
     if (row_unknowns_[r] != 1) continue;  // stale entry: solved meanwhile
     const PacketId missing = row_xor_id_[r];
     if (known_[missing]) continue;  // defensive; cannot normally happen
-    const std::uint8_t* payload =
+    // The single unknown of an equation equals the XOR of its known
+    // members, which is exactly the row accumulator.
+    const std::uint8_t* acc =
         symbol_size_ > 0
             ? row_acc_.data() + static_cast<std::size_t>(r) * symbol_size_
             : nullptr;
-    // The single unknown of an equation equals the XOR of its known
-    // members, which is exactly the row accumulator.
-    newly += make_known(missing, payload);
+    make_known(missing, acc, recovered);
   }
+  return known_total_ - before;
 }
 
 std::uint32_t PeelingDecoder::add_packet(PacketId id,
-                                         std::span<const std::uint8_t> payload) {
+                                         std::span<const std::uint8_t> payload,
+                                         std::vector<PacketId>* recovered) {
   if (id >= n())
     throw std::invalid_argument("PeelingDecoder::add_packet: bad id");
   if (symbol_size_ > 0 && payload.size() != symbol_size_)
     throw std::invalid_argument("PeelingDecoder::add_packet: bad payload size");
-  if (known_[id]) return 0;  // duplicate packet: no new information
-  std::uint32_t newly = make_known(id, payload.data());
-  cascade(ready_rows_, newly);
-  return newly;
+  return learn(id, payload, recovered);
 }
 
 std::uint32_t PeelingDecoder::force_known(PacketId id,
-                                          std::span<const std::uint8_t> payload) {
+                                          std::span<const std::uint8_t> payload,
+                                          std::vector<PacketId>* recovered) {
   if (id >= n())
     throw std::invalid_argument("PeelingDecoder::force_known: bad id");
   if (symbol_size_ > 0 && payload.size() != symbol_size_)
     throw std::invalid_argument("PeelingDecoder::force_known: bad payload size");
-  if (known_[id]) return 0;
-  std::uint32_t newly = make_known(id, payload.data());
-  cascade(ready_rows_, newly);
-  return newly;
+  return learn(id, payload, recovered);
 }
 
 }  // namespace fecsched

@@ -42,9 +42,14 @@ class PeelingDecoder {
   /// symbol_size bytes; in structure-only mode it is ignored.
   /// Returns the number of variables that became known as a result
   /// (0 for a duplicate, >= 1 otherwise — 1 for the packet itself plus
-  /// any cascaded recoveries).
+  /// any cascaded recoveries).  When `recovered` is non-null, every
+  /// *source* id this call made known (the packet itself included) is
+  /// appended to it in the order the cascade reached it; the vector is
+  /// not cleared first.  In-order release consumers sort these ids, so a
+  /// trial's release work is O(received + recovered).
   std::uint32_t add_packet(PacketId id,
-                           std::span<const std::uint8_t> payload = {});
+                           std::span<const std::uint8_t> payload = {},
+                           std::vector<PacketId>* recovered = nullptr);
 
   /// All k source packets recovered?
   [[nodiscard]] bool source_complete() const noexcept {
@@ -78,8 +83,10 @@ class PeelingDecoder {
   [[nodiscard]] std::span<const std::uint8_t> row_accumulator(std::uint32_t row) const;
 
   /// Inject an externally solved variable (used by the GE fallback).
-  /// Triggers the normal cascade.  Returns newly known variable count.
-  std::uint32_t force_known(PacketId id, std::span<const std::uint8_t> payload = {});
+  /// Triggers the normal cascade.  Returns newly known variable count;
+  /// `recovered` is filled exactly as by add_packet.
+  std::uint32_t force_known(PacketId id, std::span<const std::uint8_t> payload = {},
+                            std::vector<PacketId>* recovered = nullptr);
 
   /// Reset to the freshly constructed state, keeping allocations.
   void reset();
@@ -93,8 +100,10 @@ class PeelingDecoder {
               std::size_t symbol_size = 0);
 
  private:
-  std::uint32_t make_known(PacketId id, const std::uint8_t* payload);
-  void cascade(std::vector<std::uint32_t>& ready, std::uint32_t& newly);
+  std::uint32_t learn(PacketId id, std::span<const std::uint8_t> payload,
+                      std::vector<PacketId>* recovered);
+  void make_known(PacketId id, const std::uint8_t* payload,
+                  std::vector<PacketId>* recovered);
 
   const SparseBinaryMatrix* h_;
   std::uint32_t k_;

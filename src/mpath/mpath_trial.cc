@@ -391,14 +391,12 @@ MpathTrialResult run_block_mpath(const MpathTrialConfig& cfg, PathSet& paths,
     block_decoded.assign(rse_plan->block_count(), 0);
   }
   std::optional<PeelingDecoder>& peeler = ws.stream.peeler;
-  std::vector<std::uint32_t>& unknown_sources = ws.stream.unknown_sources;
+  std::vector<PacketId>& recovered = ws.stream.recovered;
   if (!rse) {
     if (peeler)
       peeler->rebind(ldgm->matrix(), S);
     else
       peeler.emplace(ldgm->matrix(), S);
-    unknown_sources.resize(S);
-    for (std::uint32_t s = 0; s < S; ++s) unknown_sources[s] = s;
   }
 
   std::uint64_t received = 0, reordered = 0, max_arrived = 0;
@@ -421,8 +419,8 @@ MpathTrialResult run_block_mpath(const MpathTrialConfig& cfg, PathSet& paths,
           }
         }
       } else {
-        for (std::uint32_t s : unknown_sources)
-          if (!seen[s]) {
+        for (PacketId s = 0; s < S; ++s)
+          if (!peeler->is_known(s) && !seen[s]) {
             seen[s] = 1;
             tracker.on_lost(s, t);
           }
@@ -455,13 +453,12 @@ MpathTrialResult run_block_mpath(const MpathTrialConfig& cfg, PathSet& paths,
           }
         }
       }
-    } else if (hook.timed(obs::Phase::kDecode,
-                          [&] { return peeler->add_packet(id); }) > 0) {
-      std::erase_if(unknown_sources, [&](std::uint32_t s) {
-        if (!peeler->is_known(s)) return false;
-        tracker.on_available(s, t);
-        return true;
-      });
+    } else {
+      recovered.clear();
+      hook.timed(obs::Phase::kDecode,
+                 [&] { peeler->add_packet(id, {}, &recovered); });
+      std::sort(recovered.begin(), recovered.end());
+      for (PacketId s : recovered) tracker.on_available(s, t);
     }
   }
   return finish(tracker, paths, transport, schedule.size(), received,

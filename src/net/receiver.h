@@ -126,7 +126,7 @@ class NetReceiver {
   std::vector<char> block_decoded_;
   std::vector<std::vector<RseCodec::Received>> block_rx_;
   std::optional<PeelingDecoder> peeler_;
-  std::vector<std::uint32_t> unknown_sources_;
+  std::vector<PacketId> recovered_;  ///< sources one packet recovered
   std::uint32_t delivered_sources_ = 0;
 
   // Verification scratch.

@@ -120,7 +120,7 @@ struct StreamTrialWorkspace {
   std::vector<char> seen;
   std::vector<std::uint32_t> block_received;
   std::vector<char> block_decoded;
-  std::vector<std::uint32_t> unknown_sources;
+  std::vector<PacketId> recovered;  ///< sources one LDGM packet recovered
 };
 
 /// Run one streaming trial.  The channel is reset from `seed`; all other

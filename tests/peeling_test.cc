@@ -1,6 +1,11 @@
 // Peeling decoder: cascade correctness, payload recovery, duplicate
-// handling and equivalence between the structure-only and payload modes.
+// handling, equivalence between the structure-only and payload modes, and
+// the recovered-source report contract used by in-order release.
 
+#include <algorithm>
+#include <limits>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -232,6 +237,137 @@ TEST(PeelingDecoder, RecoveredParityMatchesEncoder) {
                            parity[id - 60].end()));
   }
 }
+
+// --- Recovered-source reports --------------------------------------------
+
+class PeelingReport
+    : public ::testing::TestWithParam<std::tuple<LdgmVariant, bool>> {};
+
+// Over random arrival orders with losses and duplicates, every call
+// reports exactly the sources its cascade made known: each source once,
+// in the call that recovered it, nothing for a duplicate, and the union of
+// reports equals the known sources.  A twin decoder fed without a report
+// vector must return the same progress counts.
+TEST_P(PeelingReport, EachSourceReportedOnceByTheRecoveringCall) {
+  const auto [variant, with_payload] = GetParam();
+  constexpr std::uint32_t k = 300, n = 600;
+  constexpr std::size_t sym = 8;
+  constexpr PacketId kSentinel = std::numeric_limits<PacketId>::max();
+  const auto code = make_code(k, n, variant);
+  Rng rng(derive_seed(3000, {static_cast<std::uint64_t>(variant),
+                             static_cast<std::uint64_t>(with_payload)}));
+  const auto src = random_symbols(k, sym, rng);
+  const auto parity = code.encode(src);
+  const auto payload_of = [&](PacketId id) -> std::span<const std::uint8_t> {
+    if (!with_payload) return {};
+    return id < k ? src[id] : parity[id - k];
+  };
+
+  for (int round = 0; round < 6; ++round) {
+    std::vector<PacketId> order;
+    for (PacketId id = 0; id < n; ++id)
+      if (rng.below(100) >= 15) order.push_back(id);  // ~15% lost
+    shuffle(order, rng);
+    for (int dup = 0; dup < 60; ++dup)
+      order.insert(order.begin() + static_cast<std::ptrdiff_t>(
+                                       rng.below(order.size() + 1)),
+                   order[rng.below(order.size())]);
+
+    PeelingDecoder d(code.matrix(), k, with_payload ? sym : 0);
+    PeelingDecoder twin(code.matrix(), k, with_payload ? sym : 0);
+    std::vector<char> reported(k, 0);
+    std::vector<char> known_before(k, 0);
+    for (const PacketId id : order) {
+      for (PacketId s = 0; s < k; ++s) known_before[s] = d.is_known(s);
+      const bool duplicate = d.is_known(id);
+      std::vector<PacketId> report{kSentinel};  // appended to, not cleared
+      const std::uint32_t newly = d.add_packet(id, payload_of(id), &report);
+      ASSERT_EQ(newly, twin.add_packet(id, payload_of(id)));
+      ASSERT_EQ(report.front(), kSentinel);
+      report.erase(report.begin());
+      if (duplicate) {
+        EXPECT_EQ(newly, 0u);
+        EXPECT_TRUE(report.empty()) << "duplicate " << id << " reported";
+        continue;
+      }
+      ASSERT_LE(report.size(), newly);
+      if (id < k) {
+        EXPECT_NE(std::find(report.begin(), report.end(), id), report.end());
+      }
+      for (const PacketId s : report) {
+        ASSERT_LT(s, k);
+        ASSERT_FALSE(known_before[s]) << "source " << s << " reported late";
+        ASSERT_FALSE(reported[s]) << "source " << s << " reported twice";
+        ASSERT_TRUE(d.is_known(s));
+        reported[s] = 1;
+        if (with_payload) {
+          const auto got = d.symbol(s);
+          ASSERT_TRUE(std::equal(got.begin(), got.end(), src[s].begin(),
+                                 src[s].end()));
+        }
+      }
+      std::size_t made_known = 0;
+      for (PacketId s = 0; s < k; ++s)
+        made_known += !known_before[s] && d.is_known(s);
+      ASSERT_EQ(report.size(), made_known) << "unreported recovery";
+    }
+    for (PacketId s = 0; s < k; ++s)
+      ASSERT_EQ(reported[s] != 0, d.is_known(s)) << "source " << s;
+  }
+}
+
+// force_known, the Gaussian-elimination fallback's entry point, reports
+// the injected source and its cascade exactly like add_packet.
+TEST_P(PeelingReport, ForceKnownReportsItsCascade) {
+  const auto [variant, with_payload] = GetParam();
+  constexpr std::uint32_t k = 100, n = 250;
+  constexpr std::size_t sym = 8;
+  const auto code = make_code(k, n, variant);
+  Rng rng(4);
+  const auto src = random_symbols(k, sym, rng);
+  const auto parity = code.encode(src);
+  const auto payload_of = [&](PacketId id) -> std::span<const std::uint8_t> {
+    if (!with_payload) return {};
+    return id < k ? src[id] : parity[id - k];
+  };
+  PeelingDecoder d(code.matrix(), k, with_payload ? sym : 0);
+  for (PacketId id = k; id < n; ++id) {
+    std::vector<PacketId> report;
+    d.add_packet(id, payload_of(id), &report);
+    for (const PacketId s : report) ASSERT_LT(s, k);
+  }
+  const std::uint32_t sources_before = d.known_source_count();
+  std::vector<PacketId> report;
+  const std::uint32_t newly = d.force_known(0, payload_of(0), &report);
+  EXPECT_GE(newly, report.size());
+  ASSERT_FALSE(report.empty());
+  EXPECT_EQ(report.front(), 0u);
+  EXPECT_EQ(report.size(), d.known_source_count() - sources_before);
+  std::vector<PacketId> sorted = report;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+  for (const PacketId s : report) EXPECT_TRUE(d.is_known(s));
+
+  std::vector<PacketId> again;
+  EXPECT_EQ(d.force_known(0, payload_of(0), &again), 0u);
+  EXPECT_TRUE(again.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    VariantsAndModes, PeelingReport,
+    ::testing::Combine(::testing::Values(LdgmVariant::kIdentity,
+                                         LdgmVariant::kStaircase,
+                                         LdgmVariant::kTriangle),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      std::string name;
+      switch (std::get<0>(info.param)) {
+        case LdgmVariant::kIdentity: name = "Identity"; break;
+        case LdgmVariant::kStaircase: name = "Staircase"; break;
+        default: name = "Triangle"; break;
+      }
+      return name + (std::get<1>(info.param) ? "Payload" : "Structure");
+    });
 
 }  // namespace
 }  // namespace fecsched

@@ -17,8 +17,15 @@ cd build && ctest --output-on-failure -j
 # its exit status enforces the Karzand acceptance criterion (sliding
 # window beats block RSE on >= 3 of 4 bursty points).
 ctest --output-on-failure --no-tests=error \
-      -R 'Sliding|DelayTracker|StreamTrial|StreamDelayGrid|RecommendWindow'
+      -R 'Sliding|DelayTracker|StreamTrial|StreamDelayGrid|RecommendWindow|SparseMatrix|Peeling'
 ./bench_stream_delay --k=1000 --trials=10
+# Long-stream guard: LDGM in-order release must stay linear in stream
+# length (O(received + recovered) per trial, O(nnz) graph build).  A
+# quadratic release path, rescanning every unknown source after each
+# decoding packet, needs tens of seconds at this length; the linear one
+# takes well under a second.
+timeout 10 ./fecsched_cli stream --scheme=ldgm --p=0.02 --q=0.4 \
+  --sources=200000 --trials=1 > /dev/null
 
 # Multipath subsystem gate: the mpath tests (including the 1-path
 # degenerate oracle pinning bit-identity with the single-path trial),
