@@ -15,9 +15,14 @@
 // measures gf256_addmul / rse_encode / rse_decode / ldgm_encode on EVERY
 // backend the host supports and writes throughput (bytes/s per op x
 // backend) plus best-SIMD-over-scalar speedups as JSON (recorded as
-// BENCH_codec_speed.json).  On hosts that grant perf_event_open
-// (obs/perfctr.h) each row also carries cycles/byte and cache-miss/byte
-// read from the hardware-counter group around the timed loop; elsewhere
+// BENCH_codec_speed.json).  rse_encode / rse_decode time the engines'
+// zero-allocation encode_into / decode_into paths with one reused
+// RseWorkspace; crc32 (the net wire's per-datagram checksum, one 1 KiB
+// symbol per call) has no GF backend and is timed once.  The "host" block
+// names the machine that recorded the file.  On hosts that grant
+// perf_event_open (obs/perfctr.h) each row also carries cycles/byte and
+// cache-miss/byte read from the hardware-counter group around the timed
+// loop; elsewhere
 // the "perf_counters" block records why they are absent.  --check additionally enforces the perf
 // acceptance criteria on SIMD-capable hosts: >= 4x addmul and >= 1.5x
 // end-to-end RSE encode/decode over the scalar baseline (exit 1 when
@@ -40,7 +45,9 @@
 #include "fec/symbol_arena.h"
 #include "gf/gf256.h"
 #include "gf/gf256_kernels.h"
+#include "obs/manifest.h"
 #include "obs/perfctr.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace {
@@ -212,6 +219,19 @@ Measurement measure_op(obs::PerfGroup& perf, double min_time,
   return m;
 }
 
+/// The CPU's "model name" from /proc/cpuinfo; "" where there is none.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size())
+        return line.substr(colon + 2);
+    }
+  return "";
+}
+
 struct OpResult {
   std::string op;
   std::string backend;
@@ -233,9 +253,21 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
   const auto src = random_symbols(k, 1);
   const auto parity = codec.encode(src);
   const std::uint32_t erased = std::min(n - k, k);
-  std::vector<RseCodec::Received> rx;
-  for (std::uint32_t i = erased; i < k; ++i) rx.push_back({i, src[i]});
-  for (std::uint32_t i = 0; i < erased; ++i) rx.push_back({k + i, parity[i]});
+  std::vector<ReceivedSymbol> rx;
+  for (std::uint32_t i = erased; i < k; ++i) rx.push_back({i, src[i].data()});
+  for (std::uint32_t i = 0; i < erased; ++i)
+    rx.push_back({k + i, parity[i].data()});
+  // Row pointers and output arenas for the _into paths, built once.
+  const std::uint8_t* source_rows[RseCodec::kMaxN];
+  for (std::uint32_t j = 0; j < k; ++j) source_rows[j] = src[j].data();
+  SymbolArena parity_out, decoded_out;
+  parity_out.configure(n - k, kSymbolSize);
+  decoded_out.configure(k, kSymbolSize);
+  std::uint8_t* parity_rows[RseCodec::kMaxN];
+  std::uint8_t* decoded_rows[RseCodec::kMaxN];
+  for (std::uint32_t i = 0; i < n - k; ++i) parity_rows[i] = parity_out.row(i);
+  for (std::uint32_t j = 0; j < k; ++j) decoded_rows[j] = decoded_out.row(j);
+  RseWorkspace workspace;
   const LdgmCode ldgm(ldgm_params(1020, 1.5, LdgmVariant::kStaircase));
   const auto ldgm_src = random_symbols(ldgm.k(), 3);
 
@@ -257,13 +289,15 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
 
     const Measurement rse_encode = measure_op(
         perf, min_time, static_cast<std::uint64_t>(k) * kSymbolSize, [&] {
-          auto out = codec.encode(src);
-          benchmark::DoNotOptimize(out);
+          codec.encode_into(source_rows, kSymbolSize, parity_rows);
+          benchmark::DoNotOptimize(parity_out.row(0));
+          benchmark::ClobberMemory();
         });
     const Measurement rse_decode = measure_op(
         perf, min_time, static_cast<std::uint64_t>(k) * kSymbolSize, [&] {
-          auto out = codec.decode(rx);
-          benchmark::DoNotOptimize(out);
+          codec.decode_into(rx, kSymbolSize, decoded_rows, workspace);
+          benchmark::DoNotOptimize(decoded_out.row(0));
+          benchmark::ClobberMemory();
         });
     const Measurement ldgm_encode = measure_op(
         perf, min_time, static_cast<std::uint64_t>(ldgm.k()) * kSymbolSize, [&] {
@@ -289,6 +323,16 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
   }
   gf::force_backend(original);
 
+  // Backend-independent: recorded once, outside the speedup table.
+  const std::vector<std::uint8_t>& crc_src = src[0];
+  std::uint32_t crc_sink = 0;
+  const Measurement crc = measure_op(perf, min_time, kSymbolSize, [&] {
+    crc_sink ^= crc32(crc_src);
+    benchmark::DoNotOptimize(crc_sink);
+  });
+  results.push_back({"crc32", "portable", crc.bytes_per_second,
+                     crc.cycles_per_byte, crc.cache_miss_per_byte});
+
   std::map<std::string, double> speedup;
   for (const auto& [op, rate] : best_simd_rate)
     if (scalar_rate[op] > 0.0) speedup[op] = rate / scalar_rate[op];
@@ -304,6 +348,10 @@ int run_json_mode(const std::string& json_path, bool check, double min_time,
   json.key("symbol_size").value(std::uint64_t{kSymbolSize});
   json.key("default_backend").value(std::string(gf::to_string(original)));
   bench::write_manifest_block(json, /*threads=*/1);  // single-threaded bench
+  json.key("host").begin_object();
+  json.key("hostname").value(obs::local_hostname());
+  json.key("cpu").value(cpu_model());
+  json.end_object();
   json.key("backends").begin_array();
   for (const gf::Backend b : backends) json.value(std::string(gf::to_string(b)));
   json.end_array();

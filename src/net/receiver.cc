@@ -96,14 +96,11 @@ NetReceiver::NetReceiver(const StreamTrialConfig& cfg,
       ends_at_slot_[static_cast<std::size_t>(last[b])].push_back(b);
   }
 
-  seen_.assign(plan->n(), 0);
-  if (rse) {
-    block_received_.assign(plan_->block_count(), 0);
-    block_decoded_.assign(plan_->block_count(), 0);
-    block_rx_.assign(plan_->block_count(), {});
-  } else {
+  seen_.assign(S, 0);
+  if (rse)
+    rse_.emplace(plan_, payload_bytes_);
+  else
     peeler_.emplace(ldgm_->matrix(), S, payload_bytes_);
-  }
 }
 
 void NetReceiver::verify(std::uint64_t s,
@@ -127,10 +124,24 @@ void NetReceiver::on_slot(const ParsedFrame* frame, std::uint64_t slot) {
   if (!paced_) block_ends_check(slot);
 }
 
+bool NetReceiver::in_range(const DataFrame& frame) const {
+  const std::uint64_t S = cfg_.source_count;
+  if (frame.payload.size() != payload_bytes_) return false;
+  if (!paced_) return frame.symbol_id < (plan_ ? plan_->n() : ldgm_->n());
+  if (!frame.repair) return frame.symbol_id < S;
+  if (frame.symbol_id < S) return false;  // repair ids continue past S
+  // Replication names the duplicated source; a sliding repair covers
+  // [span_first, span_last), at most one window wide.
+  if (decoder_)
+    return frame.span_last <= S &&
+           frame.span_last - frame.span_first <= cfg_.window;
+  return frame.span_first < S && frame.span_last == frame.span_first;
+}
+
 void NetReceiver::on_data(const DataFrame& frame, std::uint64_t slot) {
   if (frame.object_id != object_id_ ||
       frame.scheme != static_cast<std::uint8_t>(cfg_.scheme) ||
-      frame.coding_seed != coding_seed_) {
+      frame.coding_seed != coding_seed_ || !in_range(frame)) {
     ++rejected_;
     return;
   }
@@ -172,59 +183,32 @@ void NetReceiver::paced_deliver(const DataFrame& frame, std::uint64_t slot) {
 }
 
 void NetReceiver::block_deliver(const DataFrame& frame, std::uint64_t slot) {
-  const PacketId id = static_cast<PacketId>(frame.symbol_id);
-  const std::uint32_t S = cfg_.source_count;
-  if (seen_[id]) return;
-  seen_[id] = 1;
-  if (plan_) {
-    const BlockPosition pos = plan_->position(id);
-    if (id < S) {
-      tracker_.on_available(id, static_cast<double>(slot));
-      ++delivered_sources_;
-      verify(id, frame.payload);
-    }
-    if (!block_decoded_[pos.block]) {
-      block_rx_[pos.block].push_back({pos.index, frame.payload});
-      if (++block_received_[pos.block] == plan_->block(pos.block).k) {
-        // MDS: k_b distinct packets solve the block; recover the payloads
-        // of every source that never arrived directly.
-        block_decoded_[pos.block] = 1;
-        const BlockInfo& info = plan_->block(pos.block);
-        std::vector<std::vector<std::uint8_t>> decoded;
-        hook_.timed(obs::Phase::kDecode, [&] {
-          const RseCodec codec(info.k, info.n);
-          decoded = codec.decode(block_rx_[pos.block]);
-        });
-        block_rx_[pos.block].clear();
-        block_rx_[pos.block].shrink_to_fit();
-        for (std::uint32_t i = 0; i < info.k; ++i) {
-          const PacketId src = info.source_offset + i;
-          if (!seen_[src]) {
-            seen_[src] = 1;
-            tracker_.on_available(src, static_cast<double>(slot));
-            ++delivered_sources_;
-            verify(src, decoded[i]);
-          }
-        }
-      }
-    }
-    return;
-  }
+  const auto id = static_cast<PacketId>(frame.symbol_id);
   recovered_.clear();
-  hook_.timed(obs::Phase::kDecode,
-              [&] { peeler_->add_packet(id, frame.payload, &recovered_); });
-  std::sort(recovered_.begin(), recovered_.end());
+  hook_.timed(obs::Phase::kDecode, [&] {
+    if (rse_)
+      rse_->on_packet(id, frame.payload, &recovered_);
+    else
+      peeler_->add_packet(id, frame.payload, &recovered_);
+  });
+  if (!rse_) std::sort(recovered_.begin(), recovered_.end());
   for (PacketId s : recovered_) {
+    seen_[s] = 1;
     tracker_.on_available(s, static_cast<double>(slot));
     ++delivered_sources_;
-    verify(s, peeler_->symbol(s));
+    verify(s, rse_ ? rse_->source_symbol(s) : peeler_->symbol(s));
+  }
+  // A decoded block has been verified in full: drop its symbols.
+  if (rse_) {
+    const std::uint32_t b = plan_->position(id).block;
+    if (rse_->block_decoded(b)) rse_->release(b);
   }
 }
 
 void NetReceiver::block_ends_check(std::uint64_t slot) {
   if (!use_block_ends_) return;
   for (std::uint32_t b : ends_at_slot_[slot % schedule_.size()]) {
-    if (block_decoded_[b]) continue;
+    if (rse_->block_decoded(b)) continue;
     const BlockInfo& info = plan_->block(b);
     for (std::uint32_t i = 0; i < info.k; ++i) {
       const PacketId src = info.source_offset + i;
@@ -234,6 +218,7 @@ void NetReceiver::block_ends_check(std::uint64_t slot) {
         ++delivered_sources_;
       }
     }
+    rse_->release(b);
   }
 }
 
@@ -251,23 +236,11 @@ void NetReceiver::give_up_before(std::uint64_t horizon, std::uint64_t slot) {
 }
 
 void NetReceiver::flush(std::uint64_t slot) {
-  const auto flush_lost = [&](PacketId src) {
-    if (!seen_[src]) {
-      seen_[src] = 1;
-      tracker_.on_lost(src, static_cast<double>(slot));
+  for (PacketId s = 0; s < seen_.size(); ++s)
+    if (!seen_[s]) {
+      seen_[s] = 1;
+      tracker_.on_lost(s, static_cast<double>(slot));
     }
-  };
-  if (plan_) {
-    for (std::uint32_t b = 0; b < plan_->block_count(); ++b) {
-      if (block_decoded_[b]) continue;
-      const BlockInfo& info = plan_->block(b);
-      for (std::uint32_t i = 0; i < info.k; ++i)
-        flush_lost(info.source_offset + i);
-    }
-  } else if (peeler_) {
-    for (PacketId s = 0; s < cfg_.source_count; ++s)
-      if (!peeler_->is_known(s)) flush_lost(s);
-  }
 }
 
 StreamTrialResult NetReceiver::finish_stream(std::uint64_t sent,

@@ -30,7 +30,7 @@
 #include "fec/block_partition.h"
 #include "fec/ldgm.h"
 #include "fec/peeling_decoder.h"
-#include "fec/rse.h"
+#include "fec/rse_object.h"
 #include "net/wire.h"
 #include "obs/obs.h"
 #include "stream/delay_tracker.h"
@@ -86,13 +86,15 @@ class NetReceiver {
     return mismatches_;
   }
   /// Delivered frames refused before decode: wrong object id, scheme
-  /// tag, or coding seed, or a report frame on the data path.
+  /// tag, coding seed or payload size, a symbol id or coverage span
+  /// outside the stream, or a report frame on the data path.
   [[nodiscard]] std::uint64_t frames_rejected() const noexcept {
     return rejected_;
   }
 
  private:
   void verify(std::uint64_t s, std::span<const std::uint8_t> payload);
+  [[nodiscard]] bool in_range(const DataFrame& frame) const;
   void on_data(const DataFrame& frame, std::uint64_t slot);
   void paced_deliver(const DataFrame& frame, std::uint64_t slot);
   void block_deliver(const DataFrame& frame, std::uint64_t slot);
@@ -115,18 +117,16 @@ class NetReceiver {
   std::vector<char> have_;
   std::uint64_t repl_horizon_ = 0;
 
-  // Block-scheme state (run_block_trial's, plus payload buffers).
+  // Block-scheme state (run_block_trial's, plus payload decoders).
   std::shared_ptr<const RsePlan> plan_;
   std::shared_ptr<const LdgmCode> ldgm_;
   std::vector<PacketId> schedule_;
   bool use_block_ends_ = false;
   std::vector<std::vector<std::uint32_t>> ends_at_slot_;
-  std::vector<char> seen_;
-  std::vector<std::uint32_t> block_received_;
-  std::vector<char> block_decoded_;
-  std::vector<std::vector<RseCodec::Received>> block_rx_;
+  std::vector<char> seen_;  ///< per source: delivered or released as lost
+  std::optional<RseObjectDecoder> rse_;
   std::optional<PeelingDecoder> peeler_;
-  std::vector<PacketId> recovered_;  ///< sources one packet recovered
+  std::vector<PacketId> recovered_;  ///< sources one packet made available
   std::uint32_t delivered_sources_ = 0;
 
   // Verification scratch.

@@ -4,21 +4,41 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fec/rse.h"
 #include "sched/tx_models.h"
 #include "util/rng.h"
 
 namespace fecsched::net {
+
+namespace {
+
+/// Stores `w` least significant byte first.  Spelled out byte by byte so
+/// it is portable; compilers merge it into one 8-byte store.
+void store_le64(std::uint8_t* p, std::uint64_t w) {
+  p[0] = static_cast<std::uint8_t>(w);
+  p[1] = static_cast<std::uint8_t>(w >> 8);
+  p[2] = static_cast<std::uint8_t>(w >> 16);
+  p[3] = static_cast<std::uint8_t>(w >> 24);
+  p[4] = static_cast<std::uint8_t>(w >> 32);
+  p[5] = static_cast<std::uint8_t>(w >> 40);
+  p[6] = static_cast<std::uint8_t>(w >> 48);
+  p[7] = static_cast<std::uint8_t>(w >> 56);
+}
+
+}  // namespace
 
 void NetSender::source_payload(std::uint64_t seed, std::uint64_t s,
                                std::size_t bytes,
                                std::vector<std::uint8_t>& out) {
   Rng rng(derive_seed(seed, {4, s}));
   out.resize(bytes);
-  std::uint64_t word = 0;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    if (i % 8 == 0) word = rng();
-    out[i] = static_cast<std::uint8_t>(word >> (8 * (i % 8)));
+  // One rng() word per 8 bytes; a short tail takes the low bytes of one
+  // more word.
+  const std::size_t whole = bytes / 8 * 8;
+  for (std::size_t i = 0; i < whole; i += 8) store_le64(out.data() + i, rng());
+  if (whole < bytes) {
+    const std::uint64_t word = rng();
+    for (std::size_t i = whole; i < bytes; ++i)
+      out[i] = static_cast<std::uint8_t>(word >> (8 * (i - whole)));
   }
 }
 
@@ -51,17 +71,7 @@ NetSender::NetSender(const StreamTrialConfig& cfg, std::size_t payload_bytes,
       const auto cap = static_cast<std::uint32_t>(std::min(
           255.0, std::floor(static_cast<double>(cfg_.block_k) * ratio)));
       plan_ = std::make_shared<RsePlan>(S, ratio, cap);
-      parity_.resize(plan_->n() - S);
-      std::vector<std::vector<std::uint8_t>> block_sources;
-      for (std::uint32_t b = 0; b < plan_->block_count(); ++b) {
-        const BlockInfo& info = plan_->block(b);
-        block_sources.assign(payloads_.begin() + info.source_offset,
-                             payloads_.begin() + info.source_offset + info.k);
-        const RseCodec codec(info.k, info.n);
-        auto block_parity = codec.encode(block_sources);
-        for (std::uint32_t i = 0; i < info.n - info.k; ++i)
-          parity_[info.parity_offset - S + i] = std::move(block_parity[i]);
-      }
+      rse_.emplace(plan_, std::move(payloads_));
       break;
     }
     case StreamScheme::kLdgm: {
@@ -150,7 +160,10 @@ void NetSender::packet_frame(PacketId id, DataFrame& out) {
   fill_common(out);
   out.repair = id >= S;
   out.symbol_id = id;
-  out.payload = id < S ? payloads_[id] : parity_[id - S];
+  if (rse_)
+    out.payload = rse_->payload(id);
+  else
+    out.payload = id < S ? payloads_[id] : parity_[id - S];
 }
 
 }  // namespace fecsched::net

@@ -24,6 +24,7 @@
 
 #include "fec/block_partition.h"
 #include "fec/ldgm.h"
+#include "fec/rse_object.h"
 #include "net/wire.h"
 #include "stream/sliding_window.h"
 #include "stream/stream_trial.h"
@@ -77,8 +78,10 @@ class NetSender {
   std::uint32_t object_id_;
   std::uint64_t coding_seed_ = 0;
 
-  std::vector<std::vector<std::uint8_t>> payloads_;  ///< all S sources
-  std::vector<std::vector<std::uint8_t>> parity_;    ///< block ids [S, n)
+  /// All S sources; block-rse moves them into rse_ instead.
+  std::vector<std::vector<std::uint8_t>> payloads_;
+  std::vector<std::vector<std::uint8_t>> parity_;  ///< LDGM ids [S, n)
+  std::optional<RseObjectEncoder> rse_;            ///< block-rse sources + parity
   std::optional<SlidingWindowEncoder> encoder_;
   RepairPacket repair_scratch_;
   std::uint64_t repl_repairs_ = 0;

@@ -1,7 +1,8 @@
 // Net subsystem (src/net/): wire-format round trips and strict rejection,
 // transport pairs, impairment substream fidelity, sim-vs-wire parity of
-// the lockstep trial across every scheme, the LossReport reverse path,
-// and the net.send / net.recv fault points.
+// the lockstep trial across every scheme, receiver rejection of frames
+// that pass the CRCs but lie outside the stream, the LossReport reverse
+// path, and the net.send / net.recv fault points.
 
 #include <algorithm>
 #include <cstdint>
@@ -373,6 +374,154 @@ TEST(NetSenderTest, PayloadsAreDeterministicPerSourceAndSeed) {
   EXPECT_NE(a, b);
   NetSender::source_payload(10, 4, 32, b);
   EXPECT_NE(a, b);
+}
+
+TEST(NetSenderTest, PayloadBytesMatchPerByteReference) {
+  // The pre-word-wise generator: one rng() word per 8 bytes, emitted least
+  // significant byte first, one byte per iteration.
+  const auto reference = [](std::uint64_t seed, std::uint64_t s,
+                            std::size_t bytes) {
+    Rng rng(derive_seed(seed, {4, s}));
+    std::vector<std::uint8_t> out(bytes);
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < bytes; ++i) {
+      if (i % 8 == 0) word = rng();
+      out[i] = static_cast<std::uint8_t>(word >> (8 * (i % 8)));
+    }
+    return out;
+  };
+  std::vector<std::uint8_t> got;
+  std::vector<std::size_t> lengths = {1024};
+  for (std::size_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  for (const std::size_t n : lengths)
+    for (const std::uint64_t s : {0u, 1u, 1999u}) {
+      NetSender::source_payload(77, s, n, got);
+      EXPECT_EQ(got, reference(77, s, n)) << "length " << n << " source " << s;
+    }
+}
+
+// ------------------------------------------------ receiver input checks
+
+constexpr std::uint64_t kCheckSeed = 5;
+
+/// Frames `count` delivered data frames into a fresh receiver and returns
+/// how many it rejected.  Out-of-range frames used to index past the
+/// receiver's per-symbol arrays or throw out of the decoder.
+std::uint64_t rejected(const NetTrialConfig& cfg,
+                       const std::vector<DataFrame>& frames) {
+  NetReceiver rx(cfg.stream, cfg.payload_bytes, kCheckSeed, 0);
+  ParsedFrame parsed;
+  parsed.type = FrameType::kData;
+  std::uint64_t slot = 0;
+  for (const DataFrame& f : frames) {
+    parsed.data = f;
+    rx.on_slot(&parsed, slot++);
+  }
+  return rx.frames_rejected();
+}
+
+DataFrame block_frame(const NetTrialConfig& cfg, PacketId id) {
+  NetSender tx(cfg.stream, cfg.payload_bytes, kCheckSeed, 0);
+  DataFrame f;
+  tx.packet_frame(id, f);
+  return f;
+}
+
+/// A paced scheme's first repair frame (after `interval` sources).
+DataFrame paced_repair(const NetTrialConfig& cfg) {
+  NetSender tx(cfg.stream, cfg.payload_bytes, kCheckSeed, 0);
+  DataFrame f;
+  const std::uint32_t interval = cfg.stream.repair_interval();
+  for (std::uint32_t s = 0; s < interval; ++s) tx.source_frame(s, f);
+  tx.repair_frame(interval, f);
+  return f;
+}
+
+DataFrame paced_source(const NetTrialConfig& cfg) {
+  NetSender tx(cfg.stream, cfg.payload_bytes, kCheckSeed, 0);
+  DataFrame f;
+  tx.source_frame(0, f);
+  return f;
+}
+
+TEST(NetReceiverInput, BlockSymbolIdPastCodeLengthRejected) {
+  for (const StreamScheme scheme : {StreamScheme::kBlockRse, StreamScheme::kLdgm}) {
+    const NetTrialConfig cfg = small_config(scheme, StreamScheduling::kSequential);
+    const std::uint64_t n =
+        NetSender(cfg.stream, cfg.payload_bytes, kCheckSeed, 0).schedule().size();
+    const DataFrame last = block_frame(cfg, static_cast<PacketId>(n - 1));
+    EXPECT_EQ(rejected(cfg, {last}), 0u);
+    for (const std::uint64_t id : {n, std::uint64_t{1} << 40}) {
+      DataFrame bad = last;
+      bad.symbol_id = id;
+      EXPECT_EQ(rejected(cfg, {bad, last}), 1u)
+          << static_cast<int>(scheme) << " id " << id;
+    }
+  }
+}
+
+TEST(NetReceiverInput, ReplicationIdsAndSpanOutsideStreamRejected) {
+  const NetTrialConfig cfg =
+      small_config(StreamScheme::kReplication, StreamScheduling::kSequential);
+  const DataFrame repair = paced_repair(cfg);
+  const DataFrame source = paced_source(cfg);
+  EXPECT_EQ(rejected(cfg, {source, repair}), 0u);
+  DataFrame bad = repair;
+  bad.span_first = bad.span_last = 300;  // duplicates a source past S
+  EXPECT_EQ(rejected(cfg, {bad}), 1u);
+  bad = repair;
+  bad.span_last = bad.span_first + 1;  // a duplicate names one source
+  EXPECT_EQ(rejected(cfg, {bad}), 1u);
+  bad = source;
+  bad.symbol_id = 300;  // a source id past S
+  EXPECT_EQ(rejected(cfg, {bad}), 1u);
+  bad = repair;
+  bad.symbol_id = 299;  // repair ids continue past S
+  EXPECT_EQ(rejected(cfg, {bad}), 1u);
+}
+
+TEST(NetReceiverInput, SlidingSpanOutsideStreamRejected) {
+  const NetTrialConfig cfg =
+      small_config(StreamScheme::kSlidingWindow, StreamScheduling::kSequential);
+  const DataFrame repair = paced_repair(cfg);
+  EXPECT_EQ(rejected(cfg, {repair}), 0u);
+  DataFrame bad = repair;
+  bad.span_last = 301;  // covers a source past S
+  EXPECT_EQ(rejected(cfg, {bad}), 1u);
+  bad = repair;
+  bad.span_first = 0;
+  bad.span_last = cfg.stream.window + 1;  // wider than one window
+  EXPECT_EQ(rejected(cfg, {bad}), 1u);
+  bad = repair;
+  bad.span_first = bad.span_last = std::uint64_t{1} << 62;
+  EXPECT_EQ(rejected(cfg, {bad}), 1u);
+  bad = paced_source(cfg);
+  bad.symbol_id = 300;
+  EXPECT_EQ(rejected(cfg, {bad}), 1u);
+}
+
+TEST(NetReceiverInput, WrongPayloadSizeRejected) {
+  for (const StreamScheme scheme :
+       {StreamScheme::kSlidingWindow, StreamScheme::kReplication,
+        StreamScheme::kBlockRse, StreamScheme::kLdgm}) {
+    const NetTrialConfig cfg = small_config(scheme, StreamScheduling::kSequential);
+    const bool paced = scheme == StreamScheme::kSlidingWindow ||
+                       scheme == StreamScheme::kReplication;
+    for (const bool repair : {false, true}) {
+      const DataFrame good = !paced ? block_frame(cfg, repair ? 300 : 0)
+                             : repair ? paced_repair(cfg)
+                                      : paced_source(cfg);
+      EXPECT_EQ(rejected(cfg, {good}), 0u);
+      for (const std::size_t size : {std::size_t{0}, cfg.payload_bytes - 1,
+                                     cfg.payload_bytes + 1}) {
+        DataFrame bad = good;
+        bad.payload.resize(size, 0xab);
+        EXPECT_EQ(rejected(cfg, {bad}), 1u)
+            << static_cast<int>(scheme) << " repair " << repair << " size "
+            << size;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ faultpoints

@@ -1,13 +1,19 @@
 // Reed-Solomon erasure codec: the MDS property ("any k of n decode") is
 // exercised as a parameterized property sweep over (k, n) geometries and
 // random erasure patterns, alongside structural and error-handling tests.
+// The object-level encoder/decoder build one codec per block geometry;
+// their bytes are pinned against a fresh RseCodec per block.
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
 #include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fec/rse.h"
+#include "fec/rse_object.h"
 #include "gf/gf256.h"
 #include "util/rng.h"
 
@@ -240,6 +246,140 @@ TEST(GfMatrixInvert, SingularThrows) {
 TEST(GfMatrixInvert, DimensionMismatchThrows) {
   std::vector<std::uint8_t> m(5);
   EXPECT_THROW(gf256_invert_matrix(m, 2), std::invalid_argument);
+}
+
+// ------------------------------------------------ object-level codecs
+
+// The net engine's block-rse geometry: S = 2000, block_k = 64, overhead
+// 0.25 — 32 blocks in two (k, n) geometries.
+std::shared_ptr<const RsePlan> multi_geometry_plan() {
+  const double ratio = 1.25;
+  const auto cap = static_cast<std::uint32_t>(std::floor(64 * ratio));
+  return std::make_shared<const RsePlan>(2000, ratio, cap);
+}
+
+/// Parity of every block, each encoded by its own freshly built codec.
+std::vector<std::vector<std::uint8_t>> fresh_codec_parity(
+    const RsePlan& plan, const std::vector<std::vector<std::uint8_t>>& src) {
+  std::vector<std::vector<std::uint8_t>> parity;
+  for (std::uint32_t b = 0; b < plan.block_count(); ++b) {
+    const BlockInfo& blk = plan.block(b);
+    const std::vector<std::vector<std::uint8_t>> block_src(
+        src.begin() + blk.source_offset,
+        src.begin() + blk.source_offset + blk.k);
+    for (auto& p : RseCodec(blk.k, blk.n).encode(block_src))
+      parity.push_back(std::move(p));
+  }
+  return parity;
+}
+
+TEST(RseBlockCodecs, OneCodecPerGeometryMatchesFreshCodecPerBlock) {
+  const auto plan = multi_geometry_plan();
+  ASSERT_EQ(plan->block_count(), 32u);
+  const RseBlockCodecs codecs(*plan);
+  EXPECT_EQ(codecs.geometries(), 2u);
+  Rng rng(41);
+  const auto src = random_symbols(plan->k(), 24, rng);
+  const auto expected = fresh_codec_parity(*plan, src);
+  for (std::uint32_t b = 0; b < plan->block_count(); ++b) {
+    const BlockInfo& blk = plan->block(b);
+    EXPECT_EQ(codecs[b].k(), blk.k);
+    EXPECT_EQ(codecs[b].n(), blk.n);
+    const std::vector<std::vector<std::uint8_t>> block_src(
+        src.begin() + blk.source_offset,
+        src.begin() + blk.source_offset + blk.k);
+    const auto parity = codecs[b].encode(block_src);
+    for (std::uint32_t i = 0; i < blk.n - blk.k; ++i)
+      EXPECT_EQ(parity[i], expected[blk.parity_offset - plan->k() + i])
+          << "block " << b << " parity " << i;
+  }
+}
+
+TEST(RseObjectEncoder, ParityMatchesFreshCodecPerBlock) {
+  const auto plan = multi_geometry_plan();
+  Rng rng(42);
+  const auto src = random_symbols(plan->k(), 24, rng);
+  const auto expected = fresh_codec_parity(*plan, src);
+  const RseObjectEncoder encoder(plan, src);
+  for (PacketId id = 0; id < plan->k(); ++id)
+    ASSERT_EQ(encoder.payload(id), src[id]) << id;
+  for (PacketId id = plan->k(); id < plan->n(); ++id)
+    ASSERT_EQ(encoder.payload(id), expected[id - plan->k()]) << id;
+}
+
+TEST(RseObjectEncoder, TakesSourcesByMove) {
+  const auto plan = multi_geometry_plan();
+  Rng rng(43);
+  auto src = random_symbols(plan->k(), 8, rng);
+  const std::uint8_t* first = src[0].data();
+  const RseObjectEncoder encoder(plan, std::move(src));
+  EXPECT_EQ(encoder.payload(0).data(), first);  // no second copy
+}
+
+TEST(RseObjectDecoder, LossyDecodeMatchesSourcesAndReportsKnownIds) {
+  const auto plan = multi_geometry_plan();
+  Rng rng(44);
+  const auto src = random_symbols(plan->k(), 24, rng);
+  const auto parity = fresh_codec_parity(*plan, src);
+  const auto payload = [&](PacketId id) -> const std::vector<std::uint8_t>& {
+    return id < plan->k() ? src[id] : parity[id - plan->k()];
+  };
+  RseObjectDecoder decoder(plan, 24);
+  std::vector<PacketId> known;
+  for (std::uint32_t b = 0; b < plan->block_count(); ++b) {
+    const BlockInfo& blk = plan->block(b);
+    // Erase the first min(b % 12, n - k) sources of the block, then feed
+    // the remaining sources, then parity until the block decodes.
+    const std::uint32_t erased = std::min(b % 12, blk.n - blk.k);
+    for (std::uint32_t i = erased; i < blk.k; ++i) {
+      known.clear();
+      decoder.on_packet(blk.source_offset + i, payload(blk.source_offset + i),
+                        &known);
+      EXPECT_EQ(known, std::vector<PacketId>{blk.source_offset + i});
+    }
+    for (std::uint32_t i = 0; i < erased; ++i) {
+      EXPECT_FALSE(decoder.block_decoded(b));
+      known.clear();
+      decoder.on_packet(blk.parity_offset + i, payload(blk.parity_offset + i),
+                        &known);
+    }
+    EXPECT_TRUE(decoder.block_decoded(b));
+    // The completing packet reports exactly the erased sources, in order.
+    std::vector<PacketId> expected;
+    for (std::uint32_t i = 0; i < erased; ++i)
+      expected.push_back(blk.source_offset + i);
+    if (erased > 0) {
+      EXPECT_EQ(known, expected) << "block " << b;
+    }
+  }
+  EXPECT_TRUE(decoder.complete());
+  for (PacketId id = 0; id < plan->k(); ++id) {
+    const auto sym = decoder.source_symbol(id);
+    ASSERT_TRUE(std::equal(sym.begin(), sym.end(), src[id].begin(),
+                           src[id].end()))
+        << id;
+  }
+}
+
+TEST(RseObjectDecoder, ReleaseDropsBlockAndIgnoresLaterPackets) {
+  const auto plan = multi_geometry_plan();
+  Rng rng(45);
+  const auto src = random_symbols(plan->k(), 8, rng);
+  RseObjectDecoder decoder(plan, 8);
+  EXPECT_THROW((void)decoder.source_symbol(0), std::logic_error);
+  decoder.on_packet(0, src[0]);
+  EXPECT_EQ(decoder.source_symbol(0)[0], src[0][0]);  // held before decode
+  decoder.release(0);
+  EXPECT_THROW((void)decoder.source_symbol(0), std::logic_error);
+  std::vector<PacketId> known;
+  for (PacketId id = 1; id < plan->block(0).k; ++id)
+    decoder.on_packet(id, src[id], &known);
+  EXPECT_TRUE(known.empty());
+  EXPECT_FALSE(decoder.block_decoded(0));
+  EXPECT_EQ(decoder.packets_used(), 1u);
+  EXPECT_THROW(decoder.on_packet(plan->n(), src[0]), std::invalid_argument);
+  EXPECT_THROW(decoder.on_packet(plan->k(), {src[0].data(), 7}),
+               std::invalid_argument);
 }
 
 }  // namespace
