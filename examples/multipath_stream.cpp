@@ -111,7 +111,8 @@ RunOutcome run(PathScheduling mode,
   RunOutcome out;
   std::uint64_t max_emission = 0;
   bool any = false;
-  const auto absorb = [&](const std::vector<std::uint64_t>& newly, double t) {
+  std::vector<std::uint64_t> newly;  // seqs the last decoder call settled
+  const auto absorb = [&](double t) {
     for (std::uint64_t seq : newly) {
       tracker.on_available(seq, t);
       const auto got = decoder.symbol(seq);
@@ -121,11 +122,13 @@ RunOutcome run(PathScheduling mode,
       out.verified += ok ? 1 : 0;
       out.corrupt += ok ? 0 : 1;
     }
+    newly.clear();
   };
   for (const RxEvent& ev : queue.drain()) {
     if (ev.kind == 1) {  // deadline
-      for (std::uint64_t seq : decoder.give_up_before(ev.value + 1))
-        tracker.on_lost(seq, ev.time);
+      decoder.give_up_before(ev.value + 1, newly);
+      for (std::uint64_t seq : newly) tracker.on_lost(seq, ev.time);
+      newly.clear();
       continue;
     }
     const std::uint64_t e = ev.value;
@@ -133,9 +136,10 @@ RunOutcome run(PathScheduling mode,
     max_emission = std::max(max_emission, e);
     any = true;
     if (kind[e] < kSlices)
-      absorb(decoder.on_source(kind[e], slices[kind[e]]), ev.time);
+      decoder.on_source(kind[e], slices[kind[e]], newly);
     else
-      absorb(decoder.on_repair(repairs[~kind[e]]), ev.time);
+      decoder.on_repair(repairs[~kind[e]], newly);
+    absorb(ev.time);
   }
   out.delay = tracker.summary();
   out.lost = out.delay.lost;

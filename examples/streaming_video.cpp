@@ -71,7 +71,8 @@ int main() {
   DelayTracker tracker;
 
   std::uint64_t slot = 0, received = 0, verified = 0, corrupt = 0;
-  const auto absorb = [&](const std::vector<std::uint64_t>& newly) {
+  std::vector<std::uint64_t> newly;  // seqs the last decoder call settled
+  const auto absorb = [&] {
     for (std::uint64_t seq : newly) {
       tracker.on_available(seq, static_cast<double>(slot));
       const auto got = decoder.symbol(seq);
@@ -81,6 +82,12 @@ int main() {
       verified += ok ? 1 : 0;
       corrupt += ok ? 0 : 1;
     }
+    newly.clear();
+  };
+  const auto declare_lost = [&] {
+    for (std::uint64_t seq : newly)
+      tracker.on_lost(seq, static_cast<double>(slot));
+    newly.clear();
   };
 
   for (std::uint32_t s = 0; s < kSlices; ++s) {
@@ -88,18 +95,20 @@ int main() {
     encoder.push_source(slices[s]);
     if (!channel.lost()) {
       ++received;
-      absorb(decoder.on_source(s, slices[s]));
+      decoder.on_source(s, slices[s], newly);
+      absorb();
     }
     ++slot;
-    if (encoder.source_count() > config.window)
-      for (std::uint64_t seq :
-           decoder.give_up_before(encoder.source_count() - config.window))
-        tracker.on_lost(seq, static_cast<double>(slot));
+    if (encoder.source_count() > config.window) {
+      decoder.give_up_before(encoder.source_count() - config.window, newly);
+      declare_lost();
+    }
     if (encoder.source_count() % config.repair_interval == 0) {
       const RepairPacket repair = encoder.make_repair();
       if (!channel.lost()) {
         ++received;
-        absorb(decoder.on_repair(repair));
+        decoder.on_repair(repair, newly);
+      absorb();
       }
       ++slot;
     }
@@ -111,12 +120,13 @@ int main() {
     const RepairPacket repair = encoder.make_repair();
     if (!channel.lost()) {
       ++received;
-      absorb(decoder.on_repair(repair));
+      decoder.on_repair(repair, newly);
+      absorb();
     }
     ++slot;
   }
-  for (std::uint64_t seq : decoder.give_up_before(kSlices))
-    tracker.on_lost(seq, static_cast<double>(slot));
+  decoder.give_up_before(kSlices, newly);
+  declare_lost();
 
   const DelaySummary delay = tracker.summary();
   const ResidualLossStats residual = tracker.residual_loss();

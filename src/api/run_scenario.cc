@@ -239,6 +239,9 @@ ScenarioResult run_stream_engine(const ScenarioSpec& spec,
     if (interrupt::interrupted()) break;
     StreamOutcome outcome;
     outcome.variant = variants[v];
+    // At most one delay per source per trial: reserving the bound spares
+    // the pooled vector its doubling slack and grow-copies.
+    outcome.delays.reserve(std::size_t{spec.run.trials} * base.source_count);
     StreamTrialConfig cfg = base;
     cfg.scheme = variants[v].scheme;
     cfg.scheduling = variants[v].scheduling;
@@ -490,6 +493,8 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
     if (interrupt::interrupted()) break;
     MpathOutcome outcome;
     outcome.variant = variants[v];
+    outcome.delays.reserve(std::size_t{spec.run.trials} *
+                           base.stream.source_count);
     MpathTrialConfig cfg = base;
     cfg.scheduler = variants[v].scheduler;
     for (std::uint32_t t = 0; t < spec.run.trials; ++t) {

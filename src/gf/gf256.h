@@ -43,6 +43,13 @@ const Tables& tables() noexcept;
   return detail::tables().mul_row[a][b];
 }
 
+/// The products {c*0, c*1, ..., c*255}: one table lookup per product when
+/// many values are multiplied by the same `c`.
+[[nodiscard]] inline const std::array<std::uint8_t, kFieldSize>& mul_row(
+    std::uint8_t c) noexcept {
+  return detail::tables().mul_row[c];
+}
+
 /// Field division a/b.  b must be non-zero (checked: throws std::domain_error).
 [[nodiscard]] std::uint8_t div(std::uint8_t a, std::uint8_t b);
 

@@ -230,6 +230,10 @@ MpathTrialResult run_paced_mpath(const MpathTrialConfig& cfg, PathSet& paths,
   have.assign(S, 0);
   std::uint64_t repl_horizon = 0;
 
+  // Seqs the last sliding-window decoder call settled (known or lost).
+  std::vector<std::uint64_t>& settled = ws.stream.settled;
+  settled.clear();
+
   std::uint64_t received = 0, reordered = 0, max_arrived = 0;
   bool any_arrived = false;
   const std::vector<RxEvent>& rx = hook.timed(
@@ -240,10 +244,10 @@ MpathTrialResult run_paced_mpath(const MpathTrialConfig& cfg, PathSet& paths,
     if (ev.kind == kDeadline) {
       const auto s = static_cast<std::uint64_t>(ev.value);
       if (sliding) {
-        for (std::uint64_t lost : hook.timed(obs::Phase::kDecode, [&] {
-               return decoder.give_up_before(s + 1);
-             }))
-          tracker.on_lost(lost, t);
+        hook.timed(obs::Phase::kDecode,
+                   [&] { decoder.give_up_before(s + 1, settled); });
+        for (std::uint64_t lost : settled) tracker.on_lost(lost, t);
+        settled.clear();
       } else {
         for (; repl_horizon < s + 1; ++repl_horizon)
           if (!have[repl_horizon]) tracker.on_lost(repl_horizon, t);
@@ -268,21 +272,19 @@ MpathTrialResult run_paced_mpath(const MpathTrialConfig& cfg, PathSet& paths,
         repair.repair_seq = em.seq;
         repair.first = em.first;
         repair.last = em.last;
-        for (std::uint64_t s : hook.timed(obs::Phase::kDecode, [&] {
-               return decoder.on_repair(repair);
-             }))
-          tracker.on_available(s, t);
+        hook.timed(obs::Phase::kDecode,
+                   [&] { decoder.on_repair(repair, settled); });
       } else {
         deliver(em.dup_target);
       }
     } else if (sliding) {
-      for (std::uint64_t s : hook.timed(obs::Phase::kDecode, [&] {
-             return decoder.on_source(em.seq);
-           }))
-        tracker.on_available(s, t);
+      hook.timed(obs::Phase::kDecode,
+                 [&] { decoder.on_source(em.seq, {}, settled); });
     } else {
       deliver(em.seq);
     }
+    for (std::uint64_t s : settled) tracker.on_available(s, t);
+    settled.clear();
   }
   return finish(tracker, paths, transport, emissions.size(), received,
                 reordered, S, hook);

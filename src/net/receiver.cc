@@ -153,7 +153,6 @@ void NetReceiver::on_data(const DataFrame& frame, std::uint64_t slot) {
 
 void NetReceiver::paced_deliver(const DataFrame& frame, std::uint64_t slot) {
   if (decoder_) {
-    std::vector<std::uint64_t> newly;
     if (frame.repair) {
       RepairPacket repair;
       repair.repair_seq = frame.symbol_id - cfg_.source_count;
@@ -161,16 +160,17 @@ void NetReceiver::paced_deliver(const DataFrame& frame, std::uint64_t slot) {
       repair.last = frame.span_last;
       repair.payload = frame.payload;
       hook_.timed(obs::Phase::kDecode,
-                  [&] { newly = decoder_->on_repair(repair); });
+                  [&] { decoder_->on_repair(repair, settled_); });
     } else {
       hook_.timed(obs::Phase::kDecode, [&] {
-        newly = decoder_->on_source(frame.symbol_id, frame.payload);
+        decoder_->on_source(frame.symbol_id, frame.payload, settled_);
       });
     }
-    for (std::uint64_t s : newly) {
+    for (std::uint64_t s : settled_) {
       tracker_.on_available(s, static_cast<double>(slot));
       verify(s, decoder_->symbol(s));
     }
+    settled_.clear();
     return;
   }
   // Replication: both the original and every duplicate deliver the source.
@@ -224,10 +224,11 @@ void NetReceiver::block_ends_check(std::uint64_t slot) {
 
 void NetReceiver::give_up_before(std::uint64_t horizon, std::uint64_t slot) {
   if (decoder_) {
-    std::vector<std::uint64_t> lost;
     hook_.timed(obs::Phase::kDecode,
-                [&] { lost = decoder_->give_up_before(horizon); });
-    for (std::uint64_t s : lost) tracker_.on_lost(s, static_cast<double>(slot));
+                [&] { decoder_->give_up_before(horizon, settled_); });
+    for (std::uint64_t s : settled_)
+      tracker_.on_lost(s, static_cast<double>(slot));
+    settled_.clear();
     return;
   }
   for (; repl_horizon_ < horizon; ++repl_horizon_)

@@ -114,6 +114,7 @@ class NetReceiver {
 
   // Sliding window / replication state (run_paced_trial's).
   std::optional<SlidingWindowDecoder> decoder_;
+  std::vector<std::uint64_t> settled_;  ///< seqs one decoder call settled
   std::vector<char> have_;
   std::uint64_t repl_horizon_ = 0;
 

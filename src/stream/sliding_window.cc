@@ -19,14 +19,6 @@ void SlidingWindowConfig::validate() const {
         "SlidingWindowConfig: repair_interval must be >= 1");
 }
 
-std::uint8_t sliding_coefficient(const SlidingWindowConfig& cfg,
-                                 std::uint64_t repair_seq,
-                                 std::uint64_t source_seq) {
-  if (cfg.coefficients == SlidingCoefficients::kBinary) return 1;
-  const std::uint64_t h = derive_seed(cfg.seed, {repair_seq, source_seq});
-  return static_cast<std::uint8_t>(1 + h % 255);
-}
-
 // ---------------------------------------------------------------- encoder
 
 SlidingWindowEncoder::SlidingWindowEncoder(const SlidingWindowConfig& config,
@@ -67,13 +59,13 @@ void SlidingWindowEncoder::make_repair(RepairPacket& out) {
     constexpr std::size_t kBatch = 64;
     gf::AddmulTerm terms[kBatch];
     std::size_t nt = 0;
+    const RepairCoefficients coef(config_, out.repair_seq);
     for (std::uint64_t seq = out.first; seq < out.last; ++seq) {
       if (nt == kBatch) {
         eng.addmul_batch(out.payload.data(), terms, nt, symbol_size_);
         nt = 0;
       }
-      terms[nt++] = {history_.row(seq % config_.window),
-                     sliding_coefficient(config_, out.repair_seq, seq)};
+      terms[nt++] = {history_.row(seq % config_.window), coef(seq)};
     }
     eng.addmul_batch(out.payload.data(), terms, nt, symbol_size_);
   } else {
@@ -82,6 +74,17 @@ void SlidingWindowEncoder::make_repair(RepairPacket& out) {
 }
 
 // ---------------------------------------------------------------- decoder
+
+namespace {
+// The term of `seq` in a seq-ascending term list, or terms.end().
+template <class Terms>
+auto find_term(Terms& terms, std::uint64_t seq) {
+  const auto it = std::lower_bound(
+      terms.begin(), terms.end(), seq,
+      [](const auto& t, std::uint64_t s) { return t.seq < s; });
+  return it != terms.end() && it->seq == seq ? it : terms.end();
+}
+}  // namespace
 
 SlidingWindowDecoder::SlidingWindowDecoder(const SlidingWindowConfig& config,
                                            std::size_t symbol_size)
@@ -95,234 +98,222 @@ void SlidingWindowDecoder::reset(const SlidingWindowConfig& config) {
   horizon_ = 0;
   known_n_ = 0;
   lost_n_ = 0;
-  fate_.clear();
+  known_.clear();
   symbols_.clear();
-  eqs_.clear();
-}
-
-bool SlidingWindowDecoder::is_known(std::uint64_t seq) const {
-  const auto it = fate_.find(seq);
-  return it != fate_.end() && it->second == 1;
-}
-
-bool SlidingWindowDecoder::is_lost(std::uint64_t seq) const {
-  const auto it = fate_.find(seq);
-  return it != fate_.end() && it->second == 2;
+  for (Row& row : rows_) retire(row);
+  rows_.clear();
 }
 
 std::span<const std::uint8_t> SlidingWindowDecoder::symbol(
     std::uint64_t seq) const {
   if (symbol_size_ == 0)
     throw std::logic_error("SlidingWindowDecoder::symbol: structure-only mode");
-  const auto it = symbols_.find(seq);
-  if (it == symbols_.end())
+  if (!is_known(seq))
     throw std::logic_error("SlidingWindowDecoder::symbol: seq not known");
-  return it->second;
+  return {symbols_.data() + seq * symbol_size_, symbol_size_};
 }
 
+SlidingWindowDecoder::Row SlidingWindowDecoder::take_row() {
+  if (spare_.empty()) return {};
+  Row row = std::move(spare_.back());
+  spare_.pop_back();
+  row.terms.clear();
+  return row;
+}
+
+void SlidingWindowDecoder::retire(Row& row) { spare_.push_back(std::move(row)); }
+
 void SlidingWindowDecoder::learn(std::uint64_t seq,
-                                 std::vector<std::uint8_t> payload,
+                                 const std::uint8_t* payload,
                                  std::vector<std::uint64_t>& newly) {
-  fate_[seq] = 1;
+  if (seq >= known_.size()) {
+    known_.resize(seq + 1, 0);
+    symbols_.resize(known_.size() * symbol_size_);
+  }
+  known_[seq] = 1;
   ++known_n_;
-  if (symbol_size_ > 0) symbols_[seq] = std::move(payload);
+  if (symbol_size_ > 0) std::memcpy(symbol_at(seq), payload, symbol_size_);
   newly.push_back(seq);
 }
 
-void SlidingWindowDecoder::substitute_known(Equation& eq) const {
-  auto out = eq.terms.begin();
-  for (auto& term : eq.terms) {
-    const auto it = fate_.find(term.first);
-    if (it != fate_.end() && it->second == 1) {
-      if (symbol_size_ > 0)
-        gf::addmul(eq.rhs, symbols_.at(term.first), term.second);
-    } else {
-      *out++ = term;
-    }
-  }
-  eq.terms.erase(out, eq.terms.end());
-}
-
-std::vector<std::uint64_t> SlidingWindowDecoder::on_source(
-    std::uint64_t seq, std::span<const std::uint8_t> payload) {
-  std::vector<std::uint64_t> newly;
-  if (fate_.contains(seq)) return newly;  // duplicate or past the deadline
+void SlidingWindowDecoder::on_source(std::uint64_t seq,
+                                     std::span<const std::uint8_t> payload,
+                                     std::vector<std::uint64_t>& newly) {
+  if (is_known(seq) || seq < horizon_) return;  // duplicate or expired
   if (symbol_size_ > 0 && payload.size() != symbol_size_)
     throw std::invalid_argument(
         "SlidingWindowDecoder::on_source: payload size mismatch");
-  learn(seq, {payload.begin(), payload.end()}, newly);
-  bool touched = false;
-  for (auto& eq : eqs_) {
-    const std::size_t before = eq.terms.size();
-    substitute_known(eq);
-    touched = touched || eq.terms.size() != before;
-  }
-  if (touched) solve(newly);
-  return newly;
+  learn(seq, payload.data(), newly);
+  if (substitute(seq)) harvest(newly);
 }
 
-std::vector<std::uint64_t> SlidingWindowDecoder::on_repair(
-    const RepairPacket& repair) {
-  std::vector<std::uint64_t> newly;
+bool SlidingWindowDecoder::substitute(std::uint64_t seq) {
+  const gf::Kernels& eng = gf::kernels();
+  bool touched = false;
+  // A row's pivot is its oldest term, so rows pivoted past `seq` lack it.
+  for (std::size_t i = 0; i < rows_.size() && rows_[i].pivot() <= seq; ++i) {
+    Row& row = rows_[i];
+    const auto it = find_term(row.terms, seq);
+    if (it == row.terms.end()) continue;
+    touched = true;
+    if (symbol_size_ > 0)
+      eng.addmul(row.rhs.data(), symbol_at(seq), symbol_size_, it->coef);
+    const bool was_pivot = it == row.terms.begin();
+    row.terms.erase(it);
+    if (was_pivot) {
+      // A pivot column lives in this row alone.  The rest of the row is
+      // zero at every other pivot, so its oldest remaining term becomes a
+      // new pivot: re-insert the row to normalise it and clear that
+      // column from the others.
+      Row moved = std::move(row);
+      rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(i));
+      insert(std::move(moved));
+      break;
+    }
+  }
+  return touched;
+}
+
+void SlidingWindowDecoder::on_repair(const RepairPacket& repair,
+                                     std::vector<std::uint64_t>& newly) {
   if (symbol_size_ > 0 && repair.payload.size() != symbol_size_)
     throw std::invalid_argument(
         "SlidingWindowDecoder::on_repair: payload size mismatch");
-  Equation eq;
-  eq.rhs = repair.payload;
+  if (repair.first > repair.last ||
+      repair.last - repair.first > config_.window)
+    throw std::invalid_argument(
+        "SlidingWindowDecoder::on_repair: span reversed or wider than the "
+        "window");
+  const gf::Kernels& eng = gf::kernels();
+  const RepairCoefficients coef(config_, repair.repair_seq);
+  Row row = take_row();
+  if (symbol_size_ > 0)
+    row.rhs.assign(repair.payload.begin(), repair.payload.end());
   for (std::uint64_t s = repair.first; s < repair.last; ++s) {
-    const std::uint8_t c = sliding_coefficient(config_, repair.repair_seq, s);
-    const auto it = fate_.find(s);
-    // Pinned on an expired source: with in-order delivery (the horizon
-    // trails the newest repair window) this cannot happen; under
-    // reordering, the expired term could only be eliminated against
-    // another repair covering it, a pairing this decoder does not chase.
-    if (it != fate_.end() && it->second == 2) return newly;
-    if (it != fate_.end() && it->second == 1) {
-      if (symbol_size_ > 0) gf::addmul(eq.rhs, symbols_.at(s), c);
+    if (is_known(s)) {
+      if (symbol_size_ > 0)
+        eng.addmul(row.rhs.data(), symbol_at(s), symbol_size_, coef(s));
+    } else if (s < horizon_) {
+      // Pinned on an expired source: with in-order delivery (the horizon
+      // trails the newest repair window) this cannot happen; under
+      // reordering, the expired term could only be eliminated against
+      // another repair covering it, a pairing this decoder does not chase.
+      retire(row);
+      return;
     } else {
-      eq.terms.emplace_back(s, c);
+      row.terms.push_back({s, coef(s)});
     }
   }
-  if (eq.terms.empty()) return newly;  // fully redundant
-  eqs_.push_back(std::move(eq));
-  solve(newly);
-  return newly;
+  if (row.terms.empty()) {  // fully redundant
+    retire(row);
+    return;
+  }
+  insert(std::move(row));
+  harvest(newly);
 }
 
-void SlidingWindowDecoder::solve(std::vector<std::uint64_t>& newly) {
-  // Profiler: the dense solve is the matrix-inversion phase of the
+void SlidingWindowDecoder::axpy(Row& dst, const Row& src, std::uint8_t f) {
+  const auto& mul = gf::mul_row(f);
+  std::vector<Term>& out = merged_;
+  out.clear();
+  auto a = dst.terms.cbegin();
+  auto b = src.terms.cbegin();
+  const auto a_end = dst.terms.cend();
+  const auto b_end = src.terms.cend();
+  while (a != a_end && b != b_end) {
+    if (a->seq < b->seq) {
+      out.push_back(*a++);
+    } else if (b->seq < a->seq) {
+      out.push_back({b->seq, mul[b->coef]});
+      ++b;
+    } else {
+      const std::uint8_t c = a->coef ^ mul[b->coef];
+      if (c != 0) out.push_back({a->seq, c});
+      ++a;
+      ++b;
+    }
+  }
+  out.insert(out.end(), a, a_end);
+  for (; b != b_end; ++b) out.push_back({b->seq, mul[b->coef]});
+  dst.terms.swap(out);
+  if (symbol_size_ > 0)
+    gf::kernels().addmul(dst.rhs.data(), src.rhs.data(), symbol_size_, f);
+}
+
+void SlidingWindowDecoder::insert(Row row) {
+  // Profiler: the elimination is the matrix-inversion phase of the
   // sliding-window decode (src/obs/); dormant cost is one atomic load.
   const obs::PhaseScope phase_scope(obs::current(), obs::Phase::kMatrixInvert);
-  // Gauss-Jordan over the active window: the unknowns are the union of the
-  // equations' terms (at most a few windows wide), the rows are the
-  // pending repair equations.  The system is tiny, so a dense pass per
-  // change is cheaper than maintaining an incremental factorisation.  The
-  // coefficient matrix lives flat in the member scratch (this runs on the
-  // per-packet delivery path), and the byte-row eliminations go through
-  // the SIMD kernel engine.
-  const gf::Kernels& eng = gf::kernels();
-  while (true) {
-    std::vector<std::uint64_t>& unknowns = scratch_unknowns_;
-    unknowns.clear();
-    for (const auto& eq : eqs_)
-      for (const auto& [seq, c] : eq.terms) unknowns.push_back(seq);
-    std::sort(unknowns.begin(), unknowns.end());
-    unknowns.erase(std::unique(unknowns.begin(), unknowns.end()),
-                   unknowns.end());
-    if (unknowns.empty()) {
-      eqs_.clear();
-      return;
-    }
-    const std::size_t u = unknowns.size();
-    const auto col_of = [&](std::uint64_t seq) {
-      return static_cast<std::size_t>(
-          std::lower_bound(unknowns.begin(), unknowns.end(), seq) -
-          unknowns.begin());
-    };
-
-    // Row i of the dense system: coefficients scratch_a_[i*u .. i*u+u),
-    // right-hand side scratch_rhs_[i] (moved out of the equation).
-    const std::size_t nrows = eqs_.size();
-    scratch_a_.assign(nrows * u, 0);
-    if (scratch_rhs_.size() < nrows) scratch_rhs_.resize(nrows);
-    for (std::size_t i = 0; i < nrows; ++i) {
-      std::uint8_t* row = scratch_a_.data() + i * u;
-      for (const auto& [seq, c] : eqs_[i].terms) row[col_of(seq)] = c;
-      scratch_rhs_[i] = std::move(eqs_[i].rhs);
-    }
-    const auto a_row = [&](std::size_t i) { return scratch_a_.data() + i * u; };
-
-    std::size_t pivot_row = 0;
-    for (std::size_t col = 0; col < u && pivot_row < nrows; ++col) {
-      std::size_t r = pivot_row;
-      while (r < nrows && a_row(r)[col] == 0) ++r;
-      if (r == nrows) continue;
-      if (r != pivot_row) {
-        std::swap_ranges(a_row(pivot_row), a_row(pivot_row) + u, a_row(r));
-        std::swap(scratch_rhs_[pivot_row], scratch_rhs_[r]);
-      }
-      std::uint8_t* p = a_row(pivot_row);
-      const std::uint8_t inv = gf::inv(p[col]);
-      if (inv != 1) {
-        eng.scale(p, u, inv);
-        if (symbol_size_ > 0) gf::scale(scratch_rhs_[pivot_row], inv);
-      }
-      for (std::size_t other = 0; other < nrows; ++other) {
-        if (other == pivot_row || a_row(other)[col] == 0) continue;
-        const std::uint8_t f = a_row(other)[col];
-        eng.addmul(a_row(other), p, u, f);
-        if (symbol_size_ > 0)
-          gf::addmul(scratch_rhs_[other], scratch_rhs_[pivot_row], f);
-      }
-      ++pivot_row;
-    }
-
-    // Harvest: zero rows are redundant, single-term rows are recoveries
-    // (their pivot column is zero in every other row), the rest become the
-    // new active equation set.  The staging buffer is swapped with eqs_ so
-    // the discarded equations' capacities survive for the next pass.
-    bool recovered = false;
-    std::vector<Equation>& next = scratch_next_;
-    next.clear();
-    for (std::size_t i = 0; i < nrows; ++i) {
-      const std::uint8_t* row = a_row(i);
-      std::size_t nz = 0, last = 0;
-      for (std::size_t j = 0; j < u; ++j)
-        if (row[j] != 0) {
-          ++nz;
-          last = j;
-        }
-      if (nz == 0) continue;  // redundant combination
-      if (nz == 1) {
-        // Normalised pivot: coefficient is 1, rhs is the payload.
-        learn(unknowns[last], std::move(scratch_rhs_[i]), newly);
-        recovered = true;
-        continue;
-      }
-      Equation eq;
-      eq.terms.reserve(nz);
-      for (std::size_t j = 0; j < u; ++j)
-        if (row[j] != 0) eq.terms.emplace_back(unknowns[j], row[j]);
-      eq.rhs = std::move(scratch_rhs_[i]);
-      next.push_back(std::move(eq));
-    }
-    eqs_.swap(next);
-    if (!recovered) return;
-    // A recovery never leaves its column behind (Jordan), but re-running
-    // keeps the invariant simple and the system is already reduced, so the
-    // extra pass terminates immediately when nothing new appears.
-    if (eqs_.empty()) return;
+  // Forward: cancel every existing pivot the row holds.  Each pivot row is
+  // zero at every other pivot column, so the order does not matter and no
+  // cancellation reintroduces an earlier pivot.
+  for (const Row& r : rows_)
+    if (const auto t = find_term(row.terms, r.pivot()); t != row.terms.end())
+      axpy(row, r, t->coef);
+  if (row.terms.empty()) {  // a combination of the pending equations
+    retire(row);
+    return;
   }
+  const std::uint8_t inv = gf::inv(row.terms.front().coef);
+  if (inv != 1) {
+    for (Term& t : row.terms) t.coef = gf::mul(t.coef, inv);
+    if (symbol_size_ > 0)
+      gf::kernels().scale(row.rhs.data(), symbol_size_, inv);
+  }
+  // Backward (Jordan): clear the new pivot column from the rows that hold
+  // it.  They are pivoted before it, and the row adds terms only past it,
+  // so their pivots stand.
+  const std::uint64_t p = row.pivot();
+  for (Row& r : rows_) {
+    if (r.pivot() > p) break;
+    if (const auto t = find_term(r.terms, p); t != r.terms.end())
+      axpy(r, row, t->coef);
+  }
+  const auto pos = std::lower_bound(
+      rows_.begin(), rows_.end(), p,
+      [](const Row& r, std::uint64_t s) { return r.pivot() < s; });
+  rows_.insert(pos, std::move(row));
 }
 
-std::vector<std::uint64_t> SlidingWindowDecoder::give_up_before(
-    std::uint64_t horizon) {
-  std::vector<std::uint64_t> newly_lost;
-  if (horizon <= horizon_) return newly_lost;
+void SlidingWindowDecoder::harvest(std::vector<std::uint64_t>& newly) {
+  // A single-term row is a recovery: normalised, its rhs is the payload,
+  // and (Jordan) its column appears in no other row, so learning it
+  // cascades nowhere.
+  auto out = rows_.begin();
+  for (Row& row : rows_) {
+    if (row.terms.size() == 1) {
+      learn(row.pivot(), row.rhs.data(), newly);
+      retire(row);
+    } else {
+      if (&*out != &row) *out = std::move(row);
+      ++out;
+    }
+  }
+  rows_.erase(out, rows_.end());
+}
+
+void SlidingWindowDecoder::give_up_before(
+    std::uint64_t horizon, std::vector<std::uint64_t>& newly_lost) {
+  if (horizon <= horizon_) return;
   for (std::uint64_t seq = horizon_; seq < horizon; ++seq) {
-    if (!fate_.contains(seq)) {
-      fate_[seq] = 2;
+    if (!is_known(seq)) {
       ++lost_n_;
       newly_lost.push_back(seq);
     }
   }
   horizon_ = horizon;
-  if (!newly_lost.empty()) {
-    // Dropping every equation that touches an expired source loses no
-    // recoverable information: solve() keeps eqs_ in reduced row-echelon
-    // form with columns ordered by seq, so each row's *oldest* term is its
-    // pivot, and a pivot appears in exactly one row.  A row touching an
-    // expired source therefore has an expired pivot, and any linear
-    // combination of RREF rows (with anything, including future repairs)
-    // retains every participating pivot — so such rows can never help
-    // determine a still-live source.
-    std::erase_if(eqs_, [&](const Equation& eq) {
-      for (const auto& [seq, c] : eq.terms)
-        if (seq < horizon) return true;
-      return false;
-    });
-  }
-  return newly_lost;
+  // Dropping every equation that touches an expired source loses no
+  // recoverable information: the rows are in reduced row-echelon form
+  // with columns ordered by seq, so each row's *oldest* term is its pivot,
+  // and a pivot appears in exactly one row.  A row touching an expired
+  // source therefore has an expired pivot, and any linear combination of
+  // RREF rows (with anything, including future repairs) retains every
+  // participating pivot — so such rows can never help determine a
+  // still-live source.  Rows are sorted by pivot: the expired ones are a
+  // prefix.
+  auto keep = rows_.begin();
+  for (; keep != rows_.end() && keep->pivot() < horizon; ++keep) retire(*keep);
+  rows_.erase(rows_.begin(), keep);
 }
 
 // ------------------------------------------------------- support structure

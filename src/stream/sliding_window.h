@@ -12,11 +12,14 @@
 // bursty channels at matched overhead.
 //
 // The decoder keeps the received repair equations in reduced row-echelon
-// form over GF(2^8) (on-the-fly Gaussian elimination within the window,
-// the streaming analogue of fec/ge_decoder's residual solve): every
-// arriving source packet is substituted into the active equations, every
-// arriving repair packet is reduced against the current pivots, and any
-// equation left with a single unknown recovers that source immediately.
+// form over GF(2^8) (on-the-fly Gauss-Jordan elimination within the
+// window, the streaming analogue of fec/ge_decoder's residual solve):
+// every arriving source packet is substituted into the active equations,
+// every arriving repair packet is reduced against the current pivots, and
+// any equation left with a single unknown recovers that source
+// immediately.  The form is maintained incrementally, one row at a time;
+// since the reduced row-echelon form of a system is unique, this yields
+// exactly the equations a full re-elimination would.
 // Decoding is *delay-limited*: once the window has slid W source packets
 // past an unrecovered source, no future repair can cover it any more, so
 // it is declared lost (releasing head-of-line blocked successors — see
@@ -38,12 +41,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
 #include "fec/sparse_matrix.h"
 #include "fec/symbol_arena.h"
+#include "util/rng.h"
 
 namespace fecsched {
 
@@ -83,11 +86,35 @@ struct RepairPacket {
   std::vector<std::uint8_t> payload;  ///< empty in structure-only mode
 };
 
+/// The coefficients of one repair packet.  The (seed, repair_seq) prefix
+/// of the derivation is hashed once at construction, so each covered
+/// source costs one SplitMix round.  This is the one definition: the
+/// encoder, the decoder and sliding_coefficient all go through it.
+class RepairCoefficients {
+ public:
+  RepairCoefficients(const SlidingWindowConfig& cfg,
+                     std::uint64_t repair_seq) noexcept
+      : prefix_(derive_seed(cfg.seed, {repair_seq})),
+        binary_(cfg.coefficients == SlidingCoefficients::kBinary) {}
+
+  /// Coefficient of source `source_seq` (non-zero; 1 in binary mode).
+  [[nodiscard]] std::uint8_t operator()(std::uint64_t source_seq) const noexcept {
+    if (binary_) return 1;
+    return static_cast<std::uint8_t>(1 + derive_step(prefix_, source_seq) % 255);
+  }
+
+ private:
+  std::uint64_t prefix_;
+  bool binary_;
+};
+
 /// The deterministic coefficient of source `source_seq` in repair
 /// `repair_seq` (non-zero; 1 in binary mode).
-[[nodiscard]] std::uint8_t sliding_coefficient(const SlidingWindowConfig& cfg,
-                                               std::uint64_t repair_seq,
-                                               std::uint64_t source_seq);
+[[nodiscard]] inline std::uint8_t sliding_coefficient(
+    const SlidingWindowConfig& cfg, std::uint64_t repair_seq,
+    std::uint64_t source_seq) noexcept {
+  return RepairCoefficients(cfg, repair_seq)(source_seq);
+}
 
 /// Sender side: buffers the last W source symbols and combines them into
 /// repair packets on demand (the caller owns the pacing).
@@ -128,8 +155,14 @@ class SlidingWindowEncoder {
   SymbolArena history_;
 };
 
-/// Receiver side: incremental GF(2^8) Gaussian elimination over the active
-/// window.
+/// Receiver side: incremental GF(2^8) Gauss-Jordan elimination over the
+/// active window.
+///
+/// The three feed calls append the seqs whose fate they settled to a
+/// caller-owned vector (not cleared first), so a trial loop that reuses
+/// one vector allocates nothing per packet.  State is indexed by seq:
+/// memory grows with the largest known seq, by 1 byte per seq plus
+/// symbol_size in payload mode.
 class SlidingWindowDecoder {
  public:
   explicit SlidingWindowDecoder(const SlidingWindowConfig& config,
@@ -143,71 +176,96 @@ class SlidingWindowDecoder {
   /// keeping the solver scratch allocations — the trial-workspace path.
   void reset(const SlidingWindowConfig& config);
 
-  /// Feed one received source packet.  Returns the source seqs that became
-  /// known as a result (the packet itself if new, plus any recoveries its
-  /// substitution cascaded; empty for a duplicate).
-  std::vector<std::uint64_t> on_source(
-      std::uint64_t seq, std::span<const std::uint8_t> payload = {});
+  /// Feed one received source packet (`payload` is ignored in
+  /// structure-only mode).  Appends to `newly` the source seqs that became
+  /// known as a result: the packet itself if new, then any recoveries its
+  /// substitution cascaded, ascending.  Appends nothing for a duplicate or
+  /// a seq already past the deadline.
+  void on_source(std::uint64_t seq, std::span<const std::uint8_t> payload,
+                 std::vector<std::uint64_t>& newly);
 
-  /// Feed one received repair packet.  Returns newly recovered source seqs.
-  std::vector<std::uint64_t> on_repair(const RepairPacket& repair);
+  /// Feed one received repair packet.  Appends newly recovered source seqs
+  /// to `newly` (ascending).  Throws std::invalid_argument on a payload
+  /// size mismatch or a span with first > last or wider than the window.
+  void on_repair(const RepairPacket& repair, std::vector<std::uint64_t>& newly);
 
   /// Advance the decoding deadline: every still-unknown source seq below
   /// `horizon` is declared unrecoverable and the equations pinned on it
-  /// are discarded.  Returns the seqs newly declared lost (ascending).
-  /// The horizon never moves backwards.
-  std::vector<std::uint64_t> give_up_before(std::uint64_t horizon);
+  /// are discarded.  Appends the seqs newly declared lost to `newly_lost`
+  /// (ascending).  The horizon never moves backwards.
+  void give_up_before(std::uint64_t horizon,
+                      std::vector<std::uint64_t>& newly_lost);
 
   [[nodiscard]] std::uint64_t horizon() const noexcept { return horizon_; }
-  [[nodiscard]] bool is_known(std::uint64_t seq) const;
-  [[nodiscard]] bool is_lost(std::uint64_t seq) const;
+  [[nodiscard]] bool is_known(std::uint64_t seq) const noexcept {
+    return seq < known_.size() && known_[seq] != 0;
+  }
+  /// Lost = below the deadline and never known: a seq past the deadline
+  /// can no longer be learned, and no equation keeps a term in it.
+  [[nodiscard]] bool is_lost(std::uint64_t seq) const noexcept {
+    return seq < horizon_ && !is_known(seq);
+  }
   /// Recovered / received payload (payload mode; throws std::logic_error
-  /// if `seq` is not known or the decoder is structure-only).
+  /// if `seq` is not known or the decoder is structure-only).  The span
+  /// is valid until the next feed call or reset().
   [[nodiscard]] std::span<const std::uint8_t> symbol(std::uint64_t seq) const;
 
   [[nodiscard]] std::uint64_t known_count() const noexcept { return known_n_; }
   [[nodiscard]] std::uint64_t lost_count() const noexcept { return lost_n_; }
   /// Pending (not yet useful) repair equations — the decoder's working set.
   [[nodiscard]] std::size_t active_equations() const noexcept {
-    return eqs_.size();
+    return rows_.size();
   }
 
  private:
-  struct Equation {
-    // Unknown terms, ascending by seq; coefficients non-zero.
-    std::vector<std::pair<std::uint64_t, std::uint8_t>> terms;
-    std::vector<std::uint8_t> rhs;  // payload mode only
+  struct Term {
+    std::uint64_t seq;
+    std::uint8_t coef;  ///< non-zero
+  };
+  /// One pending equation.  `terms` are the unknowns, ascending by seq;
+  /// the first is the row's pivot, with coefficient 1, and appears in no
+  /// other row.
+  struct Row {
+    std::vector<Term> terms;
+    std::vector<std::uint8_t> rhs;  ///< payload mode only
+    [[nodiscard]] std::uint64_t pivot() const { return terms.front().seq; }
   };
 
-  void learn(std::uint64_t seq, std::vector<std::uint8_t> payload,
+  [[nodiscard]] std::uint8_t* symbol_at(std::uint64_t seq) {
+    return symbols_.data() + seq * symbol_size_;
+  }
+  void learn(std::uint64_t seq, const std::uint8_t* payload,
              std::vector<std::uint64_t>& newly);
-  /// Substitute every known source out of `eq`; in payload mode folds the
-  /// known payloads into the rhs.
-  void substitute_known(Equation& eq) const;
-  /// Re-run Gauss-Jordan over the active equations and extract every
-  /// uniquely determined source.  Appends recoveries to `newly`.
-  void solve(std::vector<std::uint64_t>& newly);
+  /// Fold the just-learned `seq` out of every row holding it.  Returns
+  /// whether any row did.
+  bool substitute(std::uint64_t seq);
+  /// Add `row` (free of known terms, non-empty) to the reduced system.
+  void insert(Row row);
+  /// dst += f * src, over both the terms and (payload mode) the rhs.
+  void axpy(Row& dst, const Row& src, std::uint8_t f);
+  /// Learn and retire every single-term row, in pivot order.
+  void harvest(std::vector<std::uint64_t>& newly);
+  [[nodiscard]] Row take_row();
+  void retire(Row& row);
 
   SlidingWindowConfig config_;
   std::size_t symbol_size_;
   std::uint64_t horizon_ = 0;
   std::uint64_t known_n_ = 0;
   std::uint64_t lost_n_ = 0;
-  // Fate of every seq seen so far: known payload / lost marker.  Keyed map
-  // because the window keeps this small relative to the stream. 1 = known,
-  // 2 = lost.
-  std::map<std::uint64_t, std::uint8_t> fate_;
-  std::map<std::uint64_t, std::vector<std::uint8_t>> symbols_;
-  std::vector<Equation> eqs_;
-  // solve() scratch, reused across calls: the active unknowns, the flat
-  // (rows x unknowns) coefficient matrix of the dense pass, the rhs
-  // payloads moved out of the equations for the elimination, and the
-  // surviving-equation staging buffer (swapped with eqs_, so both keep
-  // their per-equation capacities alive).
-  std::vector<std::uint64_t> scratch_unknowns_;
-  std::vector<std::uint8_t> scratch_a_;
-  std::vector<std::vector<std::uint8_t>> scratch_rhs_;
-  std::vector<Equation> scratch_next_;
+  // Fate of every source, indexed by seq: 1 = known.  Lost needs no mark
+  // (see is_lost).  It grows to the largest known seq and is never
+  // trimmed, at 1 byte per seq; payload mode keeps each known symbol at
+  // symbols_[seq * symbol_size] for the same span.
+  std::vector<std::uint8_t> known_;
+  std::vector<std::uint8_t> symbols_;
+  // The reduced system, sorted by pivot.
+  std::vector<Row> rows_;
+  // Scratch reused across calls, so steady state allocates nothing:
+  // retired rows (their term and rhs capacities stay alive for the next
+  // repair) and axpy's merge buffer.
+  std::vector<Row> spare_;
+  std::vector<Term> merged_;
 };
 
 /// The binary support structure of the repairs a paced stream would emit:

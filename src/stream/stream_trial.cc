@@ -123,15 +123,21 @@ StreamTrialResult run_paced_trial(const StreamTrialConfig& cfg,
       tracker.on_available(s, static_cast<double>(slot));
     }
   };
-  const auto sliding_deliver = [&](const std::vector<std::uint64_t>& newly) {
-    for (std::uint64_t s : newly)
+  // Seqs the last sliding-window decoder call settled (known or lost).
+  std::vector<std::uint64_t>& settled = ws.settled;
+  settled.clear();
+  const auto sliding_deliver = [&] {
+    for (std::uint64_t s : settled)
       tracker.on_available(s, static_cast<double>(slot));
+    settled.clear();
   };
   const auto give_up_before = [&](std::uint64_t h) {
     if (sliding) {
-      for (std::uint64_t s : hook.timed(obs::Phase::kDecode,
-                                        [&] { return decoder.give_up_before(h); }))
+      hook.timed(obs::Phase::kDecode,
+                 [&] { decoder.give_up_before(h, settled); });
+      for (std::uint64_t s : settled)
         tracker.on_lost(s, static_cast<double>(slot));
+      settled.clear();
     } else {
       for (; repl_horizon < h; ++repl_horizon)
         if (!have[repl_horizon])
@@ -156,9 +162,11 @@ StreamTrialResult run_paced_trial(const StreamTrialConfig& cfg,
       repair.repair_seq = repairs;
       repair.last = produced;
       repair.first = produced >= W ? produced - W : 0;
-      if (delivered)
+      if (delivered) {
         hook.timed(obs::Phase::kDecode,
-                   [&] { sliding_deliver(decoder.on_repair(repair)); });
+                   [&] { decoder.on_repair(repair, settled); });
+        sliding_deliver();
+      }
     } else if (delivered) {
       // Round-robin duplicate of one of the last min(W, produced) sources.
       const std::uint64_t span = std::min<std::uint64_t>(W, produced);
@@ -177,11 +185,13 @@ StreamTrialResult run_paced_trial(const StreamTrialConfig& cfg,
     if (delivered) {
       ++received;
       hook.received(static_cast<double>(slot), s, false);
-      if (sliding)
+      if (sliding) {
         hook.timed(obs::Phase::kDecode,
-                   [&] { sliding_deliver(decoder.on_source(s)); });
-      else
+                   [&] { decoder.on_source(s, {}, settled); });
+        sliding_deliver();
+      } else {
         deliver(s);
+      }
     } else {
       hook.lost(static_cast<double>(slot), s, false);
     }

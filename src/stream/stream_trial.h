@@ -121,6 +121,7 @@ struct StreamTrialWorkspace {
   std::vector<std::uint32_t> block_received;
   std::vector<char> block_decoded;
   std::vector<PacketId> recovered;  ///< sources one LDGM packet recovered
+  std::vector<std::uint64_t> settled;  ///< seqs one sliding-window call settled
 };
 
 /// Run one streaming trial.  The channel is reset from `seed`; all other

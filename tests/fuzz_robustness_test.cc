@@ -319,20 +319,30 @@ TEST(FuzzTrialWorkspace, SlidingDecoderResetMatchesFreshDecoder) {
     else
       reused.emplace(cfg);
     SlidingWindowEncoder encoder(cfg);
+    // Every settled seq so far, per decoder: equal after each call means
+    // each call settled the same seqs.
+    std::vector<std::uint64_t> got_fresh, got_reused;
     for (int step = 0; step < 200; ++step) {
       const std::uint64_t s = encoder.push_source();
       const bool lost = rng.below(5) == 0;
       if (!lost) {
-        ASSERT_EQ(fresh.on_source(s), reused->on_source(s));
+        fresh.on_source(s, {}, got_fresh);
+        reused->on_source(s, {}, got_reused);
+        ASSERT_EQ(got_fresh, got_reused);
       }
       if ((s + 1) % cfg.repair_interval == 0) {
         const RepairPacket r = encoder.make_repair();
-        if (rng.below(4) != 0)
-          ASSERT_EQ(fresh.on_repair(r), reused->on_repair(r));
+        if (rng.below(4) != 0) {
+          fresh.on_repair(r, got_fresh);
+          reused->on_repair(r, got_reused);
+          ASSERT_EQ(got_fresh, got_reused);
+        }
       }
-      if (s + 1 > cfg.window)
-        ASSERT_EQ(fresh.give_up_before(s + 1 - cfg.window),
-                  reused->give_up_before(s + 1 - cfg.window));
+      if (s + 1 > cfg.window) {
+        fresh.give_up_before(s + 1 - cfg.window, got_fresh);
+        reused->give_up_before(s + 1 - cfg.window, got_reused);
+        ASSERT_EQ(got_fresh, got_reused);
+      }
     }
     ASSERT_EQ(fresh.known_count(), reused->known_count());
     ASSERT_EQ(fresh.lost_count(), reused->lost_count());

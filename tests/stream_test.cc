@@ -59,16 +59,17 @@ TEST_P(SlidingCrossCheck, MatchesBruteForceGf2OnRandomErasures) {
 
     // Streaming decoder, transmission order, no deadline.
     SlidingWindowDecoder dec(cfg);
+    std::vector<std::uint64_t> newly;
     std::uint32_t next_repair = 0;
     for (std::uint32_t s = 0; s < kSources; ++s) {
-      if (source_ok[s]) (void)dec.on_source(s);
+      if (source_ok[s]) dec.on_source(s, {}, newly);
       if ((s + 1) % kInterval == 0) {
         if (repair_ok[next_repair]) {
           RepairPacket rp;
           rp.repair_seq = next_repair;
           rp.last = s + 1;
           rp.first = s + 1 >= W ? s + 1 - W : 0;
-          (void)dec.on_repair(rp);
+          dec.on_repair(rp, newly);
         }
         ++next_repair;
       }
@@ -110,17 +111,18 @@ TEST(SlidingWindow, PayloadRoundtripUnderRandomLoss) {
 
   SlidingWindowEncoder enc(cfg, kSymbol);
   SlidingWindowDecoder dec(cfg, kSymbol);
+  std::vector<std::uint64_t> newly;
   for (std::uint32_t s = 0; s < kSources; ++s) {
     enc.push_source(sources[s]);
-    if (!loss.bernoulli(0.15)) (void)dec.on_source(s, sources[s]);
+    if (!loss.bernoulli(0.15)) dec.on_source(s, sources[s], newly);
     if (enc.source_count() % cfg.repair_interval == 0) {
       const RepairPacket rp = enc.make_repair();
-      if (!loss.bernoulli(0.15)) (void)dec.on_repair(rp);
+      if (!loss.bernoulli(0.15)) dec.on_repair(rp, newly);
     }
   }
   for (std::uint32_t i = 0; i < cfg.window; ++i) {
     const RepairPacket rp = enc.make_repair();
-    if (!loss.bernoulli(0.15)) (void)dec.on_repair(rp);
+    if (!loss.bernoulli(0.15)) dec.on_repair(rp, newly);
   }
 
   // Whatever the decoder claims to know must be byte-exact, and with this
@@ -142,24 +144,57 @@ TEST(SlidingWindow, DeadlineDeclaresExactlyTheUnrecoverable) {
   cfg.window = 4;
   cfg.repair_interval = 2;
   SlidingWindowDecoder dec(cfg);
+  std::vector<std::uint64_t> known, lost;
   // Sources 0 and 1 lost, 2 and 3 received; no repairs at all.
-  (void)dec.on_source(2);
-  (void)dec.on_source(3);
-  const auto lost = dec.give_up_before(2);
+  dec.on_source(2, {}, known);
+  dec.on_source(3, {}, known);
+  dec.give_up_before(2, lost);
   EXPECT_EQ(lost, (std::vector<std::uint64_t>{0, 1}));
   EXPECT_TRUE(dec.is_lost(0));
   EXPECT_TRUE(dec.is_lost(1));
   EXPECT_FALSE(dec.is_lost(2));
   // The horizon never regresses, and re-declaring is a no-op.
-  EXPECT_TRUE(dec.give_up_before(1).empty());
+  lost.clear();
+  dec.give_up_before(1, lost);
+  EXPECT_TRUE(lost.empty());
   EXPECT_EQ(dec.horizon(), 2u);
   // A repair pinned on an expired source is useless and must be dropped.
   RepairPacket rp;
   rp.repair_seq = 0;
   rp.first = 0;
   rp.last = 2;
-  EXPECT_TRUE(dec.on_repair(rp).empty());
+  known.clear();
+  dec.on_repair(rp, known);
+  EXPECT_TRUE(known.empty());
   EXPECT_EQ(dec.active_equations(), 0u);
+}
+
+TEST(SlidingWindow, RepairSpanReversedThrows) {
+  SlidingWindowConfig cfg;
+  cfg.window = 8;
+  SlidingWindowDecoder dec(cfg);
+  std::vector<std::uint64_t> newly;
+  RepairPacket rp;
+  rp.first = 5;
+  rp.last = 4;
+  EXPECT_THROW(dec.on_repair(rp, newly), std::invalid_argument);
+  EXPECT_TRUE(newly.empty());
+  EXPECT_EQ(dec.active_equations(), 0u);
+}
+
+TEST(SlidingWindow, RepairSpanWiderThanWindowThrows) {
+  SlidingWindowConfig cfg;
+  cfg.window = 8;
+  SlidingWindowDecoder dec(cfg);
+  std::vector<std::uint64_t> newly;
+  RepairPacket rp;
+  rp.first = 0;
+  rp.last = 9;
+  EXPECT_THROW(dec.on_repair(rp, newly), std::invalid_argument);
+  // A full-window span is the widest a sender emits, and is accepted.
+  rp.last = 8;
+  EXPECT_NO_THROW(dec.on_repair(rp, newly));
+  EXPECT_EQ(dec.active_equations(), 1u);
 }
 
 TEST(SlidingWindow, EncoderWindowMatchesDeclaredSpan) {

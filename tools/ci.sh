@@ -18,6 +18,12 @@ cd build && ctest --output-on-failure -j
 # window beats block RSE on >= 3 of 4 bursty points).
 ctest --output-on-failure --no-tests=error \
       -R 'Sliding|DelayTracker|StreamTrial|StreamDelayGrid|RecommendWindow|SparseMatrix|Peeling'
+# The sliding-window tests again on the forced-scalar GF backend: the
+# payload-mode elimination (and the differential test pinning it to the
+# map-based reference decoder, SlidingDifferential) runs through the GF
+# kernels, so both backends must pass.
+FECSCHED_GF_BACKEND=scalar ctest --output-on-failure --no-tests=error \
+      -R 'Sliding'
 ./bench_stream_delay --k=1000 --trials=10
 # Long-stream guard: LDGM in-order release must stay linear in stream
 # length (O(received + recovered) per trial, O(nnz) graph build).  A
