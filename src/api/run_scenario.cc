@@ -31,6 +31,22 @@
 
 namespace fecsched::api {
 
+void StreamOutcome::add(const StreamTrialResult& r) {
+  delays.insert(delays.end(), r.delays.begin(), r.delays.end());
+  delivered += r.delay.delivered;
+  lost += r.residual.lost;
+  residual_runs += r.residual.runs;
+  residual_max_run = std::max(residual_max_run, r.residual.max_run_length);
+  const auto n = static_cast<double>(r.delay.delivered);
+  delay_sum += r.delay.mean * n;
+  transport_sum += r.delay.mean_transport * n;
+  hol_sum += r.delay.mean_hol * n;
+  overhead_actual_sum += r.overhead_actual;
+  packets_sent += r.packets_sent;
+  packets_received += r.packets_received;
+  ++trials;
+}
+
 namespace {
 
 // -------------------------------------------------------- observability
@@ -189,22 +205,28 @@ std::vector<StreamVariant> stream_variants(const ScenarioSpec& spec) {
   return {{std::string(to_string(scheme)), scheme, sched}};
 }
 
-void fill_delay_summary(ScenarioSummary& summary,
-                        const std::vector<double>& sorted_delays, double mean,
-                        double residual_mean_run,
-                        std::uint64_t residual_max_run, std::uint64_t delivered,
-                        std::uint64_t lost) {
-  summary.delay_mean = mean;
-  summary.delay_p50 = sorted_percentile(sorted_delays, 0.50);
-  summary.delay_p95 = sorted_percentile(sorted_delays, 0.95);
-  summary.delay_p99 = sorted_percentile(sorted_delays, 0.99);
-  summary.delay_max = sorted_delays.empty() ? 0.0 : sorted_delays.back();
-  summary.residual_mean_run = residual_mean_run;
-  summary.residual_max_run = residual_max_run;
+/// The headline summary of an engine's first outcome (StreamOutcome or
+/// MpathOutcome), whose delays are sorted.
+template <class Outcome>
+void fill_delay_summary(ScenarioSummary& summary, const Outcome& o,
+                        std::uint32_t source_count) {
+  summary.delay_mean = o.mean();
+  summary.delay_p50 = sorted_percentile(o.delays, 0.50);
+  summary.delay_p95 = sorted_percentile(o.delays, 0.95);
+  summary.delay_p99 = sorted_percentile(o.delays, 0.99);
+  summary.delay_max = o.delays.empty() ? 0.0 : o.delays.back();
+  summary.residual_mean_run = o.mean_residual_run();
+  summary.residual_max_run = o.residual_max_run;
   summary.lost_fraction =
-      delivered + lost
-          ? static_cast<double>(lost) / static_cast<double>(delivered + lost)
-          : 0.0;
+      o.delivered + o.lost ? static_cast<double>(o.lost) /
+                                 static_cast<double>(o.delivered + o.lost)
+                           : 0.0;
+  const double produced = static_cast<double>(source_count) * o.trials;
+  if (produced > 0.0) {
+    summary.sent_ratio = static_cast<double>(o.packets_sent) / produced;
+    summary.received_ratio =
+        static_cast<double>(o.packets_received) / produced;
+  }
 }
 
 ScenarioResult run_stream_engine(const ScenarioSpec& spec,
@@ -254,21 +276,7 @@ ScenarioResult run_stream_engine(const ScenarioSpec& spec,
           registry().make_channel(spec.channel.model, {pt.p, pt.q});
       const StreamTrialResult r =
           run_stream_trial(cfg, *channel, derive_seed(spec.run.seed, {v, t}));
-      outcome.delays.insert(outcome.delays.end(), r.delays.begin(),
-                            r.delays.end());
-      outcome.delivered += r.delay.delivered;
-      outcome.lost += r.residual.lost;
-      outcome.residual_runs += r.residual.runs;
-      outcome.residual_max_run =
-          std::max(outcome.residual_max_run, r.residual.max_run_length);
-      const auto delivered = static_cast<double>(r.delay.delivered);
-      outcome.delay_sum += r.delay.mean * delivered;
-      outcome.transport_sum += r.delay.mean_transport * delivered;
-      outcome.hol_sum += r.delay.mean_hol * delivered;
-      outcome.overhead_actual_sum += r.overhead_actual;
-      outcome.packets_sent += r.packets_sent;
-      outcome.packets_received += r.packets_received;
-      ++outcome.trials;
+      outcome.add(r);
       if (progress != nullptr) progress->on_item_done();
     }
     std::sort(outcome.delays.begin(), outcome.delays.end());
@@ -278,20 +286,9 @@ ScenarioResult run_stream_engine(const ScenarioSpec& spec,
   // An interrupt can drain the run before any variant completes; a
   // summary over nothing stays empty (the CLI does not print interrupted
   // results anyway).
-  if (!result.stream.empty()) {
-    const StreamOutcome& first = result.stream.front();
-    fill_delay_summary(result.summary, first.delays, first.mean(),
-                       first.mean_residual_run(), first.residual_max_run,
-                       first.delivered, first.lost);
-    const double produced =
-        static_cast<double>(base.source_count) * first.trials;
-    if (produced > 0.0) {
-      result.summary.sent_ratio =
-          static_cast<double>(first.packets_sent) / produced;
-      result.summary.received_ratio =
-          static_cast<double>(first.packets_received) / produced;
-    }
-  }
+  if (!result.stream.empty())
+    fill_delay_summary(result.summary, result.stream.front(),
+                       base.source_count);
   return result;
 }
 
@@ -338,21 +335,7 @@ ScenarioResult run_net_engine(const ScenarioSpec& spec,
         net::run_net_trial(base, *channel, seed, /*object_id=*/t);
 
     const StreamTrialResult& sr = r.stream;
-    outcome.delays.insert(outcome.delays.end(), sr.delays.begin(),
-                          sr.delays.end());
-    outcome.delivered += sr.delay.delivered;
-    outcome.lost += sr.residual.lost;
-    outcome.residual_runs += sr.residual.runs;
-    outcome.residual_max_run =
-        std::max(outcome.residual_max_run, sr.residual.max_run_length);
-    const auto delivered = static_cast<double>(sr.delay.delivered);
-    outcome.delay_sum += sr.delay.mean * delivered;
-    outcome.transport_sum += sr.delay.mean_transport * delivered;
-    outcome.hol_sum += sr.delay.mean_hol * delivered;
-    outcome.overhead_actual_sum += sr.overhead_actual;
-    outcome.packets_sent += sr.packets_sent;
-    outcome.packets_received += sr.packets_received;
-    ++outcome.trials;
+    outcome.add(sr);
 
     stats.datagrams_sent += r.datagrams_sent;
     stats.datagrams_dropped += r.datagrams_dropped;
@@ -401,18 +384,9 @@ ScenarioResult run_net_engine(const ScenarioSpec& spec,
   result.stream.push_back(std::move(outcome));
   result.net = stats;
 
-  const StreamOutcome& first = result.stream.front();
-  if (first.trials > 0) {
-    fill_delay_summary(result.summary, first.delays, first.mean(),
-                       first.mean_residual_run(), first.residual_max_run,
-                       first.delivered, first.lost);
-    const double produced =
-        static_cast<double>(base.stream.source_count) * first.trials;
-    result.summary.sent_ratio =
-        static_cast<double>(first.packets_sent) / produced;
-    result.summary.received_ratio =
-        static_cast<double>(first.packets_received) / produced;
-  }
+  if (result.stream.front().trials > 0)
+    fill_delay_summary(result.summary, result.stream.front(),
+                       base.stream.source_count);
 
   if (!spec.net.dump.empty()) {
     // Through durable::write_file, so the artifact rides the same
@@ -542,21 +516,9 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
   result.mpath_base = std::move(base);
 
   // See run_stream_engine: an interrupt can leave no completed variant.
-  if (!result.mpath.empty()) {
-    const MpathOutcome& first = result.mpath.front();
-    fill_delay_summary(result.summary, first.delays, first.mean(),
-                       first.mean_residual_run(), first.residual_max_run,
-                       first.delivered, first.lost);
-    const double produced =
-        static_cast<double>(result.mpath_base->stream.source_count) *
-        first.trials;
-    if (produced > 0.0) {
-      result.summary.sent_ratio =
-          static_cast<double>(first.packets_sent) / produced;
-      result.summary.received_ratio =
-          static_cast<double>(first.packets_received) / produced;
-    }
-  }
+  if (!result.mpath.empty())
+    fill_delay_summary(result.summary, result.mpath.front(),
+                       result.mpath_base->stream.source_count);
   return result;
 }
 

@@ -219,6 +219,9 @@ struct StreamOutcome {
   std::uint64_t packets_received = 0;
   std::uint32_t trials = 0;
 
+  /// Fold in one trial (its delays are appended; sort once at the end).
+  void add(const StreamTrialResult& r);
+
   [[nodiscard]] double mean() const {
     return delays.empty() ? 0.0
                           : delay_sum / static_cast<double>(delays.size());

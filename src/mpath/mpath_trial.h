@@ -4,14 +4,15 @@
 // sequence spread over K paths by a PathScheduler, each path applying its
 // own loss process, propagation delay and capacity (mpath/path).
 //
-// The sender produces exactly one packet per global slot in the *same*
-// emission order as the single-path trial (sources with interleaved
-// repairs for the paced schemes; the block schedule for RSE/LDGM).  The
-// scheduler maps each emission to a path; the path assigns departure
-// (FIFO + capacity) and arrival (+ propagation delay) times; the
-// receiver replays the merged arrival sequence through a Resequencer in
-// time order — cross-path reordering included — into the scheme's decoder
-// and the stream/DelayTracker.
+// The sender is the single-path trial's StreamPlan (stream/stream_plan):
+// one packet per global slot in the same emission order (sources with
+// interleaved repairs for the paced schemes; the block schedule for
+// RSE/LDGM).  The scheduler maps each emission to a path; the path
+// assigns departure (FIFO + capacity) and arrival (+ propagation delay)
+// times; the merged arrival sequence is replayed through a Resequencer in
+// time order — cross-path reordering included — into the single-path
+// trial's StreamReceiver (stream/stream_receiver), which owns the
+// decoders and the stream/DelayTracker.
 //
 // Loss declaration is deadline-driven: a source (or block) is declared
 // unrecoverable one step after every packet that could still recover it
@@ -27,9 +28,11 @@
 //
 // Degenerate-config oracle: a 1-path PathSet with zero delay and unit
 // capacity reproduces run_stream_trial *bit-identically* — same channel
-// substream (mpath/path seeding), same emission slots, same
-// decode/give-up call sequence, same DelayTracker timestamps.  The
-// regression test in tests/mpath_test.cc pins this.
+// substream (mpath/path seeding), same plan, same receiver, and deadlines
+// that fall in the single-path give-up slots, so the decode/give-up call
+// sequence and the DelayTracker timestamps match.  What remains specific
+// to this file is the path transport and the deadline rule; the
+// regression test in tests/mpath_test.cc pins them.
 
 #pragma once
 
@@ -45,18 +48,9 @@
 namespace fecsched {
 
 namespace detail {
-/// One sender emission of the multipath replay (slot == index in the
-/// emission sequence).  Exposed only so MpathTrialWorkspace can own the
-/// buffers; the fields are an implementation detail of mpath_trial.cc.
-struct MpathEmission {
-  bool is_repair = false;
-  std::uint64_t seq = 0;        ///< source seq, or repair index
-  std::uint64_t first = 0;      ///< repair window [first, last)
-  std::uint64_t last = 0;
-  std::uint64_t dup_target = 0;  ///< replication: duplicated source
-};
-
-/// Per-emission transport outcome (same caveat as MpathEmission).
+/// Per-emission transport outcome of the multipath replay.  Exposed only
+/// so MpathTrialWorkspace can own the buffers; the fields are an
+/// implementation detail of mpath_trial.cc.
 struct MpathTransport {
   std::vector<double> resolve;    ///< (would-be) arrival time, by emission
   std::vector<char> delivered;    ///< channel verdict, by emission
@@ -97,14 +91,12 @@ struct MpathTrialResult {
 
 /// Reusable per-trial state for run_mpath_trial (see StreamTrialWorkspace
 /// for the contract: fully re-initialised per trial, reuse only saves
-/// allocations).  The embedded stream workspace carries the decoders and
-/// delay tracker shared with the single-path trial machinery.
+/// allocations).  The embedded stream workspace carries the plan and the
+/// receiver shared with the single-path trial.
 struct MpathTrialWorkspace {
   StreamTrialWorkspace stream;
-  std::vector<detail::MpathEmission> emissions;
   detail::MpathTransport transport;
-  std::vector<std::size_t> source_slot;
-  std::vector<double> deadline;
+  std::vector<double> deadline;  ///< by source (paced) or block (block-rse)
   Resequencer queue;
 };
 

@@ -1,7 +1,7 @@
 #include "net/net_trial.h"
 
 #include <array>
-#include <optional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -12,7 +12,8 @@
 #include "net/transport.h"
 #include "net/wire.h"
 #include "obs/obs.h"
-#include "sched/carousel.h"
+#include "stream/stream_plan.h"
+#include "stream/stream_receiver.h"
 #include "util/faultpoint.h"
 #include "util/rng.h"
 
@@ -29,67 +30,61 @@ void NetTrialConfig::validate() const {
                                 transport + "\" (udp, memory)");
 }
 
-namespace {
-
-/// Everything one direction of the lockstep exchange needs.
-struct Wires {
-  Transport& tx;                      ///< sender -> receiver
-  Transport& rx;                      ///< same pipe, receiver end
-  std::vector<std::uint8_t> pack_buf;
-  std::array<std::uint8_t, kDataOverhead + kMaxPayload> recv_buf{};
-  ParsedFrame parsed;
-};
-
-}  // namespace
-
 NetTrialResult run_net_trial(const NetTrialConfig& cfg, LossModel& channel,
                              std::uint64_t seed, std::uint32_t object_id) {
   cfg.validate();
   const obs::Hook hook;
-  const std::uint32_t S = cfg.stream.source_count;
 
   TransportPair pair = make_transport_pair(cfg.transport);
-  Wires wires{*pair.a, *pair.b, {}, {}, {}};
   ImpairmentShim shim(channel);
   ChannelEstimator estimator;
 
-  std::optional<NetSender> sender;
-  std::optional<NetReceiver> receiver;
-  hook.timed(obs::Phase::kEncode, [&] {
-    sender.emplace(cfg.stream, cfg.payload_bytes, seed, object_id);
-    receiver.emplace(cfg.stream, cfg.payload_bytes, seed, object_id);
+  // Sender and receiver share one plan: the out-of-band code
+  // configuration both ends derive from (config, seed).
+  const auto plan = std::make_shared<const StreamPlan>(cfg.stream, seed);
+  NetSender sender = hook.timed(obs::Phase::kEncode, [&] {
+    return NetSender(plan, cfg.payload_bytes, object_id);
+  });
+  NetReceiver receiver = hook.timed(obs::Phase::kEncode, [&] {
+    return NetReceiver(plan, cfg.payload_bytes, object_id);
   });
 
   NetTrialResult result;
-  std::uint64_t slot = 0, sent = 0, received = 0;
+  Transport& tx = *pair.a;  // sender -> receiver
+  Transport& rx = *pair.b;  // same pipe, receiver end
   const int timeout = static_cast<int>(cfg.recv_timeout_ms);
   DataFrame frame;
+  std::vector<std::uint8_t> pack_buf;
+  std::array<std::uint8_t, kDataOverhead + kMaxPayload> recv_buf{};
+  ParsedFrame parsed;
 
-  // One channel slot: emulated channel draw at the sender, then — for a
-  // surviving frame — the full wire round: pack, socket, parse, decode.
-  const auto transmit = [&] {
-    ++sent;
-    hook.sent(static_cast<double>(slot), frame.symbol_id, frame.repair);
+  // The wire link: the impairment shim draws each slot's fate at the
+  // sender, and a surviving frame makes the full round — pack, socket,
+  // parse — before the parsed frame reaches the receiver.
+  const auto transmit = [&](auto scheme, const StreamPacket& p,
+                            std::uint64_t slot) {
+    const auto t = static_cast<double>(slot);
+    sender.frame(p, frame);
+    hook.sent(t, frame.symbol_id, frame.repair);
     const bool delivered = hook.timed(obs::Phase::kChannelDraw,
                                       [&] { return !shim.drop_next(); });
     if (!delivered) {
-      hook.lost(static_cast<double>(slot), frame.symbol_id, frame.repair);
-      receiver->on_slot(nullptr, slot);
-      return;
+      hook.lost(t, frame.symbol_id, frame.repair);
+      receiver.on_slot(scheme, nullptr, slot);
+      return false;
     }
-    hook.timed(obs::Phase::kNetPack, [&] { pack(frame, wires.pack_buf); });
+    hook.timed(obs::Phase::kNetPack, [&] { pack(frame, pack_buf); });
     if (fault::point("net.send")) throw fault::FaultInjected("net.send");
     const bool queued =
-        hook.timed(obs::Phase::kNetSend, [&] { return wires.tx.send(wires.pack_buf); });
+        hook.timed(obs::Phase::kNetSend, [&] { return tx.send(pack_buf); });
     if (!queued)
       throw std::runtime_error("net: loopback send backpressure at slot " +
                                std::to_string(slot));
     ++result.datagrams_sent;
-    result.bytes_sent += wires.pack_buf.size();
+    result.bytes_sent += pack_buf.size();
     if (fault::point("net.recv")) throw fault::FaultInjected("net.recv");
     const std::ptrdiff_t n = hook.timed(obs::Phase::kNetRecv, [&] {
-      return wires.rx.recv({wires.recv_buf.data(), wires.recv_buf.size()},
-                           timeout);
+      return rx.recv({recv_buf.data(), recv_buf.size()}, timeout);
     });
     // The shim passed this frame, so the lossless transport owes it to us.
     if (n < 0)
@@ -98,104 +93,56 @@ NetTrialResult run_net_trial(const NetTrialConfig& cfg, LossModel& channel,
           std::to_string(slot) + ", symbol " +
           std::to_string(frame.symbol_id) + ")");
     const WireError err = hook.timed(obs::Phase::kNetUnpack, [&] {
-      return parse({wires.recv_buf.data(), static_cast<std::size_t>(n)},
-                   wires.parsed);
+      return parse({recv_buf.data(), static_cast<std::size_t>(n)}, parsed);
     });
     if (err != WireError::kOk)
       throw std::runtime_error("net: frame rejected on loopback: " +
                                std::string(to_string(err)));
-    ++received;
-    hook.received(static_cast<double>(slot), wires.parsed.data.symbol_id,
-                  wires.parsed.data.repair);
-    receiver->on_slot(&wires.parsed, slot);
+    hook.received(t, parsed.data.symbol_id, parsed.data.repair);
+    receiver.on_slot(scheme, &parsed, slot);
+    return true;
   };
 
   // Reverse path: receiver compresses the slot trace into a LossReport
   // frame; the sender parses it into the live channel estimator.
   const auto send_report = [&] {
-    if (receiver->pending_events() == 0) return;
-    const ReportFrame report = receiver->take_report();
-    hook.timed(obs::Phase::kNetPack, [&] { pack(report, wires.pack_buf); });
-    if (!hook.timed(obs::Phase::kNetSend,
-                    [&] { return wires.rx.send(wires.pack_buf); }))
+    if (receiver.pending_events() == 0) return;
+    const ReportFrame report = receiver.take_report();
+    hook.timed(obs::Phase::kNetPack, [&] { pack(report, pack_buf); });
+    if (!hook.timed(obs::Phase::kNetSend, [&] { return rx.send(pack_buf); }))
       throw std::runtime_error("net: report send backpressure");
     ++result.reports_sent;
     const std::ptrdiff_t n = hook.timed(obs::Phase::kNetRecv, [&] {
-      return wires.tx.recv({wires.recv_buf.data(), wires.recv_buf.size()},
-                           timeout);
+      return tx.recv({recv_buf.data(), recv_buf.size()}, timeout);
     });
     if (n < 0) throw std::runtime_error("net: report lost on loopback");
     const WireError err = hook.timed(obs::Phase::kNetUnpack, [&] {
-      return parse({wires.recv_buf.data(), static_cast<std::size_t>(n)},
-                   wires.parsed);
+      return parse({recv_buf.data(), static_cast<std::size_t>(n)}, parsed);
     });
-    if (err != WireError::kOk || wires.parsed.type != FrameType::kReport)
+    if (err != WireError::kOk || parsed.type != FrameType::kReport)
       throw std::runtime_error("net: malformed report on loopback");
-    estimator.observe_report(wires.parsed.report.report);
+    estimator.observe_report(parsed.report.report);
     ++result.reports_received;
   };
-  const auto maybe_report = [&] {
+  // The cadence is checked after every production step (every slot of a
+  // block schedule); one more report closes the stream.
+  const auto step_end = [&] {
     if (cfg.report_interval > 0 &&
-        receiver->pending_events() >= cfg.report_interval)
+        receiver.pending_events() >= cfg.report_interval)
       send_report();
   };
 
   shim.reset(derive_seed(seed, {0}));
-  const bool paced = cfg.stream.scheme == StreamScheme::kSlidingWindow ||
-                     cfg.stream.scheme == StreamScheme::kReplication;
-  if (paced) {
-    // run_paced_trial's pacing, verbatim: one source per slot, one repair
-    // every `interval` sources, one tail window of repairs, give-up lines
-    // trailing W behind production.
-    const std::uint32_t W = cfg.stream.window;
-    const std::uint32_t interval = cfg.stream.repair_interval();
-    for (std::uint32_t s = 0; s < S; ++s) {
-      sender->source_frame(s, frame);
-      transmit();
-      ++slot;
-      const std::uint64_t produced = s + 1;
-      if (produced > W) receiver->give_up_before(produced - W, slot);
-      if (produced % interval == 0) {
-        sender->repair_frame(produced, frame);
-        transmit();
-        ++slot;
-      }
-      maybe_report();
-    }
-    const std::uint64_t tail = (W + interval - 1) / interval;
-    for (std::uint64_t i = 0; i < tail; ++i) {
-      sender->repair_frame(S, frame);
-      transmit();
-      ++slot;
-    }
-    receiver->give_up_before(S, slot);
-  } else {
-    // run_block_trial's pacing: the carousel spins the schedule, stopping
-    // early once the receiver reports completion (the lockstep driver
-    // stands in for the receiver's ACK stream; LossReports still cross
-    // the real wire below).
-    const std::uint64_t cycles =
-        cfg.stream.scheduling == StreamScheduling::kCarousel
-            ? cfg.stream.max_cycles
-            : 1;
-    Carousel carousel(sender->schedule());
-    const std::uint64_t budget = sender->schedule().size() * cycles;
-    while (slot < budget && (cycles == 1 || !receiver->complete())) {
-      const PacketId id = carousel.next();
-      sender->packet_frame(id, frame);
-      transmit();
-      ++slot;
-      maybe_report();
-    }
-    receiver->flush(slot);
-  }
+  const SlotCounts n = with_scheme(cfg.stream.scheme, [&](auto scheme) {
+    return run_slots(scheme, *plan, receiver.core(), transmit, step_end);
+  });
   send_report();
 
-  result.stream = receiver->finish_stream(sent, received);
+  result.stream = receiver.core().finish(n.sent, n.received);
   result.datagrams_dropped = shim.dropped();
-  result.sources_verified = receiver->sources_verified();
-  result.payload_mismatches = receiver->payload_mismatches();
-  result.frames_rejected = receiver->frames_rejected();
+  result.sources_verified = receiver.sources_verified();
+  result.payload_mismatches = receiver.payload_mismatches();
+  result.frames_rejected = receiver.frames_rejected();
   result.estimate = estimator.estimate();
   if (hook.counting()) {
     hook.count("net.trials");

@@ -1,23 +1,25 @@
 // One streaming trial replayed over a real datagram transport.
 //
-// run_net_trial() is the wire twin of stream/stream_trial's
-// run_stream_trial(): the same schedule decisions, the same channel
-// substream (derive_seed(seed, {0}), drawn once per datagram in
-// transmission order by the ImpairmentShim), the same DelayTracker
-// protocol — but every surviving symbol actually crosses a socket as a
-// wire.h frame and is parsed back before it reaches the decoder.  The
-// driver is lockstep: it owns the discrete slot clock, sends one frame
-// per slot, and hands the receiver either the parsed frame or the drop,
-// so the delivered-delay distribution matches the simulation EXACTLY
-// (tolerance zero) — the sim-vs-wire parity gate in ci.sh pins this.
+// run_net_trial() is stream/stream_trial's run_stream_trial() over a
+// wire link: the same StreamPlan, slot driver (run_slots) and
+// StreamReceiver core (stream/stream_plan, stream/stream_receiver), the
+// same channel substream (derive_seed(seed, {0}), drawn once per datagram
+// in transmission order by the ImpairmentShim) — but every surviving
+// symbol actually crosses a socket as a wire.h frame, and the receiver
+// decodes the parsed frame, not the sender's emission.  The driver is
+// lockstep: it owns the discrete slot clock, sends one frame per slot,
+// and hands the receiver either the parsed frame or the drop, so the
+// delivered-delay distribution matches the simulation EXACTLY (tolerance
+// zero) — the sim-vs-wire parity gate in ci.sh pins this.
 //
 // Because impairment is injected above a lossless transport, a datagram
 // the shim passed MUST arrive; a timeout or parse failure on the
 // loopback is a hard std::runtime_error, never silently absorbed into
 // the loss statistics.
 //
-// The reverse path carries adapt::LossReport frames (every
-// `report_interval` slots and at end of stream) into a ChannelEstimator
+// The reverse path carries adapt::LossReport frames (once at least
+// `report_interval` slots are pending at the end of a production step,
+// and at end of stream) into a ChannelEstimator
 // on the sender side — the live wire closure of the src/adapt/ loop;
 // the resulting estimate ships in the trial result.
 
@@ -39,8 +41,9 @@ struct NetTrialConfig {
   /// How long the receiver waits for a datagram the shim passed before
   /// declaring the lossless transport broken.
   std::uint32_t recv_timeout_ms = 2000;
-  /// Slots between in-stream LossReports on the reverse path; 0 sends a
-  /// single end-of-stream report.
+  /// Pending slots that trigger an in-stream LossReport on the reverse
+  /// path, checked at the end of each production step (each slot of a
+  /// block schedule); 0 sends a single end-of-stream report.
   std::uint32_t report_interval = 0;
 
   /// Throws std::invalid_argument on inconsistent parameters.

@@ -1,14 +1,13 @@
-// Sender side of the net engine: turns the stream trial's transmission
-// decisions into wire frames with real payload bytes.
+// Sender side of the net engine: payload bytes and wire frames for the
+// emissions of a StreamPlan (stream/stream_plan).
 //
-// The sender is deliberately a mirror of run_stream_trial's sender half:
-// the same seed derivations ({1} schedule Rng, {2} sliding seed, {3}
-// LDGM graph), the same schedule construction, the same repair pacing
-// conventions (wire symbol ids continue past the source ids, replication
-// duplicates round-robin over the last min(W, produced) sources).  The
-// lockstep driver in net_trial.cc owns the pacing; this class only
-// builds frames — which is what makes sim-vs-wire parity checkable: any
-// delivered-delay difference is a transport bug, not a schedule drift.
+// The plan is the same one the simulation twin runs, so every transmission
+// decision (schedule, repair pacing and windows, replication duplicate
+// picks, seeds) is shared by construction; this class only synthesizes
+// payloads, encodes, and builds frames.  The driver in net_trial.cc owns
+// the pacing (stream/stream_receiver's run_slots) — which is what makes
+// sim-vs-wire parity checkable: any delivered-delay difference is a
+// transport bug, not a schedule drift.
 //
 // Source payloads are synthesized deterministically from the trial seed
 // (substream {4, s}), so the receiver can regenerate the expected bytes
@@ -22,20 +21,20 @@
 #include <optional>
 #include <vector>
 
-#include "fec/block_partition.h"
-#include "fec/ldgm.h"
 #include "fec/rse_object.h"
 #include "net/wire.h"
 #include "stream/sliding_window.h"
-#include "stream/stream_trial.h"
+#include "stream/stream_plan.h"
 
 namespace fecsched::net {
 
 class NetSender {
  public:
-  /// Builds all per-stream coding state: source payloads, the sliding
-  /// encoder or block code (with parity pre-encoded), and the block
-  /// schedule.  `cfg` must already be validated.
+  /// Builds all per-stream coding state over `plan`: source payloads, the
+  /// sliding encoder or the block code's parity.
+  NetSender(std::shared_ptr<const StreamPlan> plan, std::size_t payload_bytes,
+            std::uint32_t object_id);
+  /// Shorthand building its own plan; `cfg` must already be validated.
   NetSender(const StreamTrialConfig& cfg, std::size_t payload_bytes,
             std::uint64_t seed, std::uint32_t object_id);
 
@@ -44,39 +43,36 @@ class NetSender {
   static void source_payload(std::uint64_t seed, std::uint64_t s,
                              std::size_t bytes, std::vector<std::uint8_t>& out);
 
-  // ----- paced schemes (sliding-window / replication) -----
+  /// Frame for plan packet `p`.  A sliding-window sender must be given its
+  /// packets in plan order (each source advances the encoder's window).
+  void frame(const StreamPacket& p, DataFrame& out);
 
-  /// Frame for source `s`.  Must be called once per source, in order
-  /// (it also advances the sliding encoder's window).
+  // ----- paced schemes, stepping through the plan's emissions -----
+
+  /// Frame for source `s`, the next emission.
   void source_frame(std::uint64_t s, DataFrame& out);
-
-  /// Frame for the next repair, emitted after `produced` sources.
+  /// Frame for the repair emitted after `produced` sources, the next
+  /// emission.
   void repair_frame(std::uint64_t produced, DataFrame& out);
 
-  // ----- block schemes (block-rse / ldgm) -----
+  // ----- block schemes -----
 
   /// The single-cycle transmission order (the carousel loops it).
   [[nodiscard]] const std::vector<PacketId>& schedule() const noexcept {
-    return schedule_;
+    return plan_->schedule();
   }
-
   /// Frame for global packet id `id` (source or parity).
   void packet_frame(PacketId id, DataFrame& out);
 
-  /// The seed tag stamped into every frame (sliding seed / LDGM seed; 0
-  /// for the seedless schemes).  Receivers cross-check it.
-  [[nodiscard]] std::uint64_t coding_seed() const noexcept {
-    return coding_seed_;
-  }
-
  private:
-  void fill_common(DataFrame& out) const;
+  /// The next paced emission, which must be source `n` (or the repair
+  /// after `n` sources).
+  const StreamEmission& next_emission(bool repair, std::uint64_t n);
 
-  StreamTrialConfig cfg_;
+  std::shared_ptr<const StreamPlan> plan_;
   std::size_t payload_bytes_;
-  std::uint64_t seed_;
   std::uint32_t object_id_;
-  std::uint64_t coding_seed_ = 0;
+  std::size_t next_ = 0;  ///< source_frame / repair_frame cursor
 
   /// All S sources; block-rse moves them into rse_ instead.
   std::vector<std::vector<std::uint8_t>> payloads_;
@@ -84,10 +80,6 @@ class NetSender {
   std::optional<RseObjectEncoder> rse_;            ///< block-rse sources + parity
   std::optional<SlidingWindowEncoder> encoder_;
   RepairPacket repair_scratch_;
-  std::uint64_t repl_repairs_ = 0;
-  std::shared_ptr<const RsePlan> plan_;
-  std::shared_ptr<const LdgmCode> ldgm_;
-  std::vector<PacketId> schedule_;
 };
 
 }  // namespace fecsched::net

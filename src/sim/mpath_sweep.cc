@@ -54,19 +54,20 @@ MpathSweepResult run_mpath_sweep(std::span<const ChannelPoint> points,
   result.stats.resize(points.size() * result.delay_spreads.size() *
                       result.variants.size() * result.overheads.size());
 
+  const auto config_for = [&](double p, double q, std::size_t d,
+                              std::size_t v, std::size_t o) {
+    MpathTrialConfig cfg;
+    cfg.stream = config.base;
+    cfg.stream.overhead = result.overheads[o];
+    cfg.paths = config.make_paths(p, q, result.delay_spreads[d]);
+    cfg.scheduler = result.variants[v].scheduler;
+    return cfg;
+  };
   // Validate every swept configuration eagerly, before any worker runs.
-  for (double spread : result.delay_spreads) {
-    for (const MpathVariant& variant : result.variants) {
-      for (double overhead : result.overheads) {
-        MpathTrialConfig cfg;
-        cfg.stream = config.base;
-        cfg.stream.overhead = overhead;
-        cfg.paths = config.make_paths(0.0, 1.0, spread);
-        cfg.scheduler = variant.scheduler;
-        cfg.validate();
-      }
-    }
-  }
+  for (std::size_t d = 0; d < result.delay_spreads.size(); ++d)
+    for (std::size_t v = 0; v < result.variants.size(); ++v)
+      for (std::size_t o = 0; o < result.overheads.size(); ++o)
+        config_for(0.0, 1.0, d, v, o).validate();
 
   sweep_points(
       points, options,
@@ -77,11 +78,7 @@ MpathSweepResult run_mpath_sweep(std::span<const ChannelPoint> points,
         for (std::size_t d = 0; d < result.delay_spreads.size(); ++d) {
           for (std::size_t v = 0; v < result.variants.size(); ++v) {
             for (std::size_t o = 0; o < result.overheads.size(); ++o) {
-              MpathTrialConfig cfg;
-              cfg.stream = config.base;
-              cfg.stream.overhead = result.overheads[o];
-              cfg.paths = config.make_paths(p, q, result.delay_spreads[d]);
-              cfg.scheduler = result.variants[v].scheduler;
+              const MpathTrialConfig cfg = config_for(p, q, d, v, o);
               const MpathTrialResult r =
                   run_mpath_trial(cfg, derive_seed(seed, {d, v, o}), ws);
               MpathPointStats& s = result.stats[

@@ -65,17 +65,18 @@ StreamGridResult run_stream_delay_grid(std::span<const ChannelPoint> points,
   result.stats.resize(points.size() * result.variants.size() *
                       result.overheads.size());
 
+  const auto config_for = [&](std::size_t v, std::size_t o) {
+    StreamTrialConfig cfg = config.base;
+    cfg.scheme = result.variants[v].scheme;
+    cfg.scheduling = result.variants[v].scheduling;
+    cfg.overhead = result.overheads[o];
+    return cfg;
+  };
   // Validate every swept configuration eagerly so a bad (block_k, overhead)
   // combination fails before the sweep, not inside a worker thread.
-  for (const StreamVariant& variant : result.variants) {
-    for (double overhead : result.overheads) {
-      StreamTrialConfig cfg = config.base;
-      cfg.scheme = variant.scheme;
-      cfg.scheduling = variant.scheduling;
-      cfg.overhead = overhead;
-      cfg.validate();
-    }
-  }
+  for (std::size_t v = 0; v < result.variants.size(); ++v)
+    for (std::size_t o = 0; o < result.overheads.size(); ++o)
+      config_for(v, o).validate();
 
   sweep_points(
       points, options,
@@ -87,10 +88,7 @@ StreamGridResult run_stream_delay_grid(std::span<const ChannelPoint> points,
         thread_local StreamTrialWorkspace ws;
         for (std::size_t v = 0; v < result.variants.size(); ++v) {
           for (std::size_t o = 0; o < result.overheads.size(); ++o) {
-            StreamTrialConfig cfg = config.base;
-            cfg.scheme = result.variants[v].scheme;
-            cfg.scheduling = result.variants[v].scheduling;
-            cfg.overhead = result.overheads[o];
+            const StreamTrialConfig cfg = config_for(v, o);
             GilbertModel channel(p, q);
             const StreamTrialResult r =
                 run_stream_trial(cfg, channel, derive_seed(seed, {v, o}), ws);

@@ -1,10 +1,12 @@
 // Multipath subsystem (src/mpath/): path clock model, packet-to-path
 // schedulers, resequenced replay, the degenerate-config oracle (1 path,
-// zero delay == single-path stream_trial, bit for bit), per-path
-// adaptation and the mpath sweep's thread-count independence.
+// zero delay == single-path stream_trial, bit for bit), pinned digests of
+// every scheme x path scheduler, per-path adaptation and the mpath
+// sweep's thread-count independence.
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -225,9 +227,89 @@ INSTANTIATE_TEST_SUITE_P(
                         StreamScheduling::kInterleaved,
                         PathScheduling::kSplit),
         std::make_tuple(StreamScheme::kLdgm, StreamScheduling::kSequential,
-                        PathScheduling::kRoundRobin)));
+                        PathScheduling::kRoundRobin),
+        std::make_tuple(StreamScheme::kLdgm, StreamScheduling::kInterleaved,
+                        PathScheduling::kEarliestArrival)));
 
 // ------------------------------------------------------------ mpath trial
+
+/// FNV-1a (64-bit) over every field a trial's pinned digest covers (see
+/// StreamTrialDigest in stream_test.cc).
+void fnv1a(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+}
+
+void digest_trial(std::uint64_t& h, const StreamTrialResult& r) {
+  fnv1a(h, r.delays.size());
+  for (const double d : r.delays) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &d, sizeof bits);
+    fnv1a(h, bits);
+  }
+  fnv1a(h, r.packets_sent);
+  fnv1a(h, r.packets_received);
+  fnv1a(h, r.residual.lost);
+  fnv1a(h, r.residual.runs);
+  fnv1a(h, r.residual.max_run_length);
+}
+
+TEST(MpathTrialDigest, EverySchemeAndSchedulerMatchesPinnedOutputs) {
+  // Every scheme and path scheduler over two asymmetric paths (delays 5
+  // and 45), where reordering exercises the deadline rule the 1-path
+  // oracle above cannot see.
+  const PathScheduling schedulers[] = {
+      PathScheduling::kRoundRobin, PathScheduling::kWeighted,
+      PathScheduling::kSplit, PathScheduling::kEarliestArrival};
+  struct Pin {
+    StreamScheme scheme;
+    StreamScheduling scheduling;
+    std::uint64_t digest[4];  ///< one per entry of `schedulers`
+  };
+  const Pin pins[] = {
+      {StreamScheme::kSlidingWindow, StreamScheduling::kSequential,
+       {0x45468d55d05f08b1ull, 0xf9ca7c2a0471fc14ull,
+        0xa2de8c42e2ca4db5ull, 0xe758b815f0fb363ull}},
+      {StreamScheme::kReplication, StreamScheduling::kSequential,
+       {0xffe2b02a79f74d15ull, 0xe969f350dd115f77ull,
+        0xc5cc297987fdda67ull, 0xc06622c93e8d8a56ull}},
+      {StreamScheme::kBlockRse, StreamScheduling::kSequential,
+       {0xa3f0915ad9d6622eull, 0xa3f0915ad9d6622eull,
+        0xd25fca6a602d7bfeull, 0xebfed7e67a33e206ull}},
+      {StreamScheme::kBlockRse, StreamScheduling::kInterleaved,
+       {0xae3d4351a4ead58full, 0xae3d4351a4ead58full,
+        0xa043744142e40078ull, 0xa12e4f1f7b3c7935ull}},
+      {StreamScheme::kLdgm, StreamScheduling::kSequential,
+       {0x1628f6c6e62a5d75ull, 0x1628f6c6e62a5d75ull,
+        0xbf2e183f96b91bcdull, 0xbb67af10d213954dull}},
+      {StreamScheme::kLdgm, StreamScheduling::kInterleaved,
+       {0xc2197e8da06b6361ull, 0xa2350867cc454fa4ull,
+        0x3a46c5515e3b7040ull, 0xdb84f03a083ff407ull}},
+  };
+  MpathTrialWorkspace ws;
+  for (const Pin& pin : pins) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      MpathTrialConfig cfg;
+      cfg.stream.scheme = pin.scheme;
+      cfg.stream.scheduling = pin.scheduling;
+      cfg.stream.source_count = 400;
+      cfg.stream.overhead = 0.25;
+      cfg.stream.window = 40;
+      cfg.stream.block_k = 40;
+      cfg.paths = {PathSpec::gilbert(0.03, 0.3, 5.0),
+                   PathSpec::gilbert(0.03, 0.3, 45.0)};
+      cfg.scheduler = schedulers[i];
+      std::uint64_t h = 0xcbf29ce484222325ull;
+      for (const std::uint64_t seed : {1ull, 2ull, 3ull})
+        digest_trial(h, run_mpath_trial(cfg, seed, ws).stream);
+      EXPECT_EQ(h, pin.digest[i])
+          << to_string(pin.scheme) << "/" << to_string(pin.scheduling) << "/"
+          << to_string(schedulers[i]) << " digest 0x" << std::hex << h;
+    }
+  }
+}
 
 TEST(MpathTrial, ValidatesConfig) {
   MpathTrialConfig cfg;

@@ -307,6 +307,11 @@ TEST(NetParity, LdgmInterleavedMatchesSimulation) {
       small_config(StreamScheme::kLdgm, StreamScheduling::kInterleaved), 107);
 }
 
+TEST(NetParity, LdgmCarouselMatchesSimulation) {
+  expect_parity(
+      small_config(StreamScheme::kLdgm, StreamScheduling::kCarousel), 108);
+}
+
 TEST(NetParity, UdpTransportIdenticalToMemory) {
   NetTrialConfig cfg =
       small_config(StreamScheme::kSlidingWindow, StreamScheduling::kSequential);

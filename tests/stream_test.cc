@@ -1,8 +1,11 @@
 // Streaming FEC subsystem (src/stream/): sliding-window decoder
 // cross-checked against the brute-force GF(2) solver, payload-mode
-// correctness, delay-tracker invariants, and stream-trial sanity.
+// correctness, delay-tracker invariants, stream-trial sanity, and pinned
+// digests of every scheme x scheduling output.
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -386,6 +389,88 @@ TEST(StreamTrial, CarouselRecoversWhatSequentialLoses) {
     carousel_lost += run_stream_trial(cfg, channel, seed).residual.lost;
   }
   EXPECT_LT(carousel_lost, seq_lost);
+}
+
+/// FNV-1a (64-bit) over every field a trial's pinned digest covers: the
+/// release-order delays (bit patterns), the channel counts and the
+/// residual-loss run statistics.
+void fnv1a(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+}
+
+void digest_trial(std::uint64_t& h, const StreamTrialResult& r) {
+  fnv1a(h, r.delays.size());
+  for (const double d : r.delays) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &d, sizeof bits);
+    fnv1a(h, bits);
+  }
+  fnv1a(h, r.packets_sent);
+  fnv1a(h, r.packets_received);
+  fnv1a(h, r.residual.lost);
+  fnv1a(h, r.residual.runs);
+  fnv1a(h, r.residual.max_run_length);
+}
+
+TEST(StreamTrialDigest, EverySchemeAndSchedulingMatchesPinnedOutputs) {
+  // The mpath and net oracles compare those engines with this one, and
+  // all three share one plan and receiver, so a change that moves every
+  // engine together passes them; these digests of every scheme and
+  // scheduling do not.  Paced schemes ignore the scheduling axis, so
+  // their three digests per scheme must agree.
+  struct Pin {
+    StreamScheme scheme;
+    StreamScheduling scheduling;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {StreamScheme::kSlidingWindow, StreamScheduling::kSequential,
+       0x80e265ca24d07515ull},
+      {StreamScheme::kSlidingWindow, StreamScheduling::kInterleaved,
+       0x80e265ca24d07515ull},
+      {StreamScheme::kSlidingWindow, StreamScheduling::kCarousel,
+       0x80e265ca24d07515ull},
+      {StreamScheme::kReplication, StreamScheduling::kSequential,
+       0xdfaa1661a7edacfull},
+      {StreamScheme::kReplication, StreamScheduling::kInterleaved,
+       0xdfaa1661a7edacfull},
+      {StreamScheme::kReplication, StreamScheduling::kCarousel,
+       0xdfaa1661a7edacfull},
+      {StreamScheme::kBlockRse, StreamScheduling::kSequential,
+       0xf1e5eb7a65242059ull},
+      {StreamScheme::kBlockRse, StreamScheduling::kInterleaved,
+       0x149b314f4242cce8ull},
+      {StreamScheme::kBlockRse, StreamScheduling::kCarousel,
+       0xd199adf992060610ull},
+      {StreamScheme::kLdgm, StreamScheduling::kSequential,
+       0xc78e9ac3d3fac124ull},
+      {StreamScheme::kLdgm, StreamScheduling::kInterleaved,
+       0x8ed6458eaaf02243ull},
+      {StreamScheme::kLdgm, StreamScheduling::kCarousel,
+       0x99ff01593b00ec17ull},
+  };
+  StreamTrialWorkspace ws;
+  for (const Pin& pin : pins) {
+    StreamTrialConfig cfg;
+    cfg.scheme = pin.scheme;
+    cfg.scheduling = pin.scheduling;
+    cfg.source_count = 500;
+    cfg.overhead = 0.25;
+    cfg.window = 40;
+    cfg.block_k = 40;
+    cfg.max_cycles = 3;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+      GilbertModel channel(0.04, 0.3);  // 11.8% loss, mean burst 3.3
+      digest_trial(h, run_stream_trial(cfg, channel, seed, ws));
+    }
+    EXPECT_EQ(h, pin.digest) << to_string(pin.scheme) << "/"
+                             << to_string(pin.scheduling) << " digest 0x"
+                             << std::hex << h;
+  }
 }
 
 // ------------------------------------------------------ delay grid / hook

@@ -325,9 +325,15 @@ echo "robustness gate: kill-resume bit-identical on both backends, SIGINT drains
 
 # Net gate (src/net/, -Werror via CMake — README "Real transport"):
 # 1. the net test suite (wire-format fuzz/property suite, transport
-#    semantics, impairment-shim substream identity, and the seven
-#    sim-vs-wire parity oracles);
+#    semantics, impairment-shim substream identity, and the eight
+#    sim-vs-wire parity oracles), then the parity oracles again on the
+#    forced-scalar GF backend together with the other oracles of the
+#    shared stream core (1-path multipath == stream, pinned stream and
+#    mpath digests): the net receiver's payload-mode sliding, LDGM and
+#    RSE decoders run through the GF kernels;
 ctest --output-on-failure --no-tests=error -R 'Net'
+FECSCHED_GF_BACKEND=scalar ctest --output-on-failure --no-tests=error \
+      -R 'NetParity|MpathDegenerate|StreamTrialDigest|MpathTrialDigest'
 # 2. loopback smoke over real UDP sockets: the run must byte-verify every
 #    delivered source payload against the sender's ground truth and match
 #    its simulation twin exactly on every trial — under the default and
