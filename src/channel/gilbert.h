@@ -12,6 +12,8 @@
 
 #pragma once
 
+#include <cstdint>
+
 #include "channel/loss_model.h"
 #include "util/rng.h"
 
@@ -34,7 +36,19 @@ class GilbertModel final : public LossModel {
   /// Stationary loss probability p/(p+q); 0 when p = q = 0.
   [[nodiscard]] double global_loss_probability() const noexcept;
 
-  [[nodiscard]] bool lost() override;
+  /// The current state decides this packet's fate, then the chain
+  /// advances with one Rng draw.  Branchless: `rng() >> 11 < ceil(x·2^53)`
+  /// is exactly `Rng::bernoulli(x)` (`uniform01() < x`, both sides scaled
+  /// by 2^53 without rounding), so verdicts and Rng consumption match the
+  /// bernoulli form bit for bit.
+  [[nodiscard]] bool lost() override {
+    const bool erased = in_loss_state_;
+    const std::uint64_t u = rng_() >> 11;
+    // In LOSS the chain leaves with probability q, in NO-LOSS it enters
+    // with probability p: next = (u < threshold) XOR erased.
+    in_loss_state_ = (u < (erased ? q_threshold_ : p_threshold_)) != erased;
+    return erased;
+  }
   void reset(std::uint64_t seed) override;
 
   /// One explicit Markov step: given that the previous packet's fate was
@@ -46,6 +60,8 @@ class GilbertModel final : public LossModel {
  private:
   double p_;
   double q_;
+  std::uint64_t p_threshold_;  ///< ceil(p·2^53)
+  std::uint64_t q_threshold_;  ///< ceil(q·2^53)
   bool in_loss_state_ = false;
   Rng rng_;
 };

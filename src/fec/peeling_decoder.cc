@@ -1,6 +1,8 @@
 #include "fec/peeling_decoder.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "gf/gf256_kernels.h"
 
@@ -22,8 +24,15 @@ void PeelingDecoder::rebind(const SparseBinaryMatrix& h, std::uint32_t k,
   k_ = k;
   symbol_size_ = symbol_size;
   known_.resize(h.cols());
-  row_unknowns_.resize(h.rows());
-  row_xor_id_.resize(h.rows());
+  rows_.resize(h.rows());
+  // reset() restores each row from its degree (the CSR row offsets) and
+  // this XOR of its ids, so a trial restart never re-walks the matrix.
+  fresh_xor_.resize(h.rows());
+  for (std::uint32_t r = 0; r < h.rows(); ++r) {
+    std::uint32_t x = 0;
+    for (const std::uint32_t c : h.row(r)) x ^= c;
+    fresh_xor_[r] = x;
+  }
   if (symbol_size_ > 0) {
     symbols_.resize(static_cast<std::size_t>(h.cols()) * symbol_size_);
     row_acc_.resize(static_cast<std::size_t>(h.rows()) * symbol_size_);
@@ -36,20 +45,15 @@ void PeelingDecoder::rebind(const SparseBinaryMatrix& h, std::uint32_t k,
 
 void PeelingDecoder::reset() {
   std::fill(known_.begin(), known_.end(), 0);
-  for (std::uint32_t r = 0; r < h_->rows(); ++r) {
-    const auto cols = h_->row(r);
-    row_unknowns_[r] = static_cast<std::uint32_t>(cols.size());
-    std::uint32_t x = 0;
-    for (std::uint32_t c : cols) x ^= c;
-    row_xor_id_[r] = x;
-  }
+  for (std::uint32_t r = 0; r < h_->rows(); ++r)
+    rows_[r] = {h_->row_degree_unchecked(r), fresh_xor_[r]};
   if (symbol_size_ > 0) {
     std::fill(symbols_.begin(), symbols_.end(), 0);
     std::fill(row_acc_.begin(), row_acc_.end(), 0);
   }
   known_sources_ = 0;
   known_total_ = 0;
-  ready_rows_.clear();
+  ready_.clear();
 }
 
 std::span<const std::uint8_t> PeelingDecoder::symbol(PacketId id) const {
@@ -71,72 +75,65 @@ PeelingDecoder::row_accumulator(std::uint32_t row) const {
           symbol_size_};
 }
 
-void PeelingDecoder::make_known(PacketId id, const std::uint8_t* payload,
-                                std::vector<PacketId>* recovered) {
-  known_[id] = 1;
-  ++known_total_;
-  if (id < k_) {
-    ++known_sources_;
-    if (recovered != nullptr) recovered->push_back(id);
-  }
-  std::uint8_t* stored = nullptr;
-  if (symbol_size_ > 0) {
-    stored = symbols_.data() + static_cast<std::size_t>(id) * symbol_size_;
-    if (payload != nullptr && payload != stored)
-      std::copy(payload, payload + symbol_size_, stored);
-  }
-  const gf::Kernels& eng = gf::kernels();
-  for (std::uint32_t r : h_->col(id)) {
-    row_xor_id_[r] ^= id;
-    if (symbol_size_ > 0)
-      eng.xor_into(
-          row_acc_.data() + static_cast<std::size_t>(r) * symbol_size_,
-          stored, symbol_size_);
-    if (--row_unknowns_[r] == 1) ready_rows_.push_back(r);
-  }
-}
+/// learn()'s sink for every call that is not the structure-only fast
+/// path: stores and XOR-accumulates payloads in payload mode, and appends
+/// each newly known source to `recovered` when one is given.
+class PeelingDecoder::PayloadSink {
+ public:
+  PayloadSink(PeelingDecoder& d, std::vector<PacketId>* recovered)
+      : d_(d), recovered_(recovered), eng_(gf::kernels()) {}
 
-std::uint32_t PeelingDecoder::learn(PacketId id,
-                                    std::span<const std::uint8_t> payload,
-                                    std::vector<PacketId>* recovered) {
-  if (known_[id]) return 0;  // duplicate: no new information
-  const std::uint32_t before = known_total_;
-  make_known(id, payload.data(), recovered);
-  while (!ready_rows_.empty()) {
-    const std::uint32_t r = ready_rows_.back();
-    ready_rows_.pop_back();
-    if (row_unknowns_[r] != 1) continue;  // stale entry: solved meanwhile
-    const PacketId missing = row_xor_id_[r];
-    if (known_[missing]) continue;  // defensive; cannot normally happen
-    // The single unknown of an equation equals the XOR of its known
-    // members, which is exactly the row accumulator.
-    const std::uint8_t* acc =
-        symbol_size_ > 0
-            ? row_acc_.data() + static_cast<std::size_t>(r) * symbol_size_
-            : nullptr;
-    make_known(missing, acc, recovered);
+  void source(PacketId id) const {
+    if (recovered_ != nullptr) recovered_->push_back(id);
   }
-  return known_total_ - before;
+  const std::uint8_t* store(PacketId id, const std::uint8_t* payload) const {
+    if (d_.symbol_size_ == 0) return nullptr;
+    std::uint8_t* stored =
+        d_.symbols_.data() + static_cast<std::size_t>(id) * d_.symbol_size_;
+    if (payload != nullptr && payload != stored)
+      std::copy(payload, payload + d_.symbol_size_, stored);
+    return stored;
+  }
+  void edge(std::uint32_t r, const std::uint8_t* stored) const {
+    if (d_.symbol_size_ > 0) eng_.xor_into(row(r), stored, d_.symbol_size_);
+  }
+  const std::uint8_t* row_payload(std::uint32_t r) const {
+    return d_.symbol_size_ > 0 ? row(r) : nullptr;
+  }
+
+ private:
+  std::uint8_t* row(std::uint32_t r) const {
+    return d_.row_acc_.data() + static_cast<std::size_t>(r) * d_.symbol_size_;
+  }
+
+  PeelingDecoder& d_;
+  std::vector<PacketId>* recovered_;
+  const gf::Kernels& eng_;
+};
+
+std::uint32_t PeelingDecoder::learn_checked(
+    PacketId id, std::span<const std::uint8_t> payload,
+    std::vector<PacketId>* recovered, const char* caller) {
+  if (id >= n())
+    throw std::invalid_argument(std::string("PeelingDecoder::") + caller +
+                                ": bad id");
+  if (symbol_size_ > 0 && payload.size() != symbol_size_)
+    throw std::invalid_argument(std::string("PeelingDecoder::") + caller +
+                                ": bad payload size");
+  PayloadSink sink(*this, recovered);
+  return learn(id, payload.data(), sink);
 }
 
 std::uint32_t PeelingDecoder::add_packet(PacketId id,
                                          std::span<const std::uint8_t> payload,
                                          std::vector<PacketId>* recovered) {
-  if (id >= n())
-    throw std::invalid_argument("PeelingDecoder::add_packet: bad id");
-  if (symbol_size_ > 0 && payload.size() != symbol_size_)
-    throw std::invalid_argument("PeelingDecoder::add_packet: bad payload size");
-  return learn(id, payload, recovered);
+  return learn_checked(id, payload, recovered, "add_packet");
 }
 
 std::uint32_t PeelingDecoder::force_known(PacketId id,
                                           std::span<const std::uint8_t> payload,
                                           std::vector<PacketId>* recovered) {
-  if (id >= n())
-    throw std::invalid_argument("PeelingDecoder::force_known: bad id");
-  if (symbol_size_ > 0 && payload.size() != symbol_size_)
-    throw std::invalid_argument("PeelingDecoder::force_known: bad payload size");
-  return learn(id, payload, recovered);
+  return learn_checked(id, payload, recovered, "force_known");
 }
 
 }  // namespace fecsched

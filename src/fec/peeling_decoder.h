@@ -16,7 +16,8 @@
 //
 // Per-row state is O(1): an unknown-counter plus the XOR of unknown
 // variable ids, which yields the last unknown's id without scanning the
-// row.  Total work is O(nnz) across a whole decode.
+// row; the two share one 8-byte record, so a cascade step touches one
+// cache line per row.  Total work is O(nnz) across a whole decode.
 
 #pragma once
 
@@ -26,6 +27,7 @@
 
 #include "fec/sparse_matrix.h"
 #include "fec/types.h"
+#include "util/check.h"
 
 namespace fecsched {
 
@@ -51,6 +53,16 @@ class PeelingDecoder {
                            std::span<const std::uint8_t> payload = {},
                            std::vector<PacketId>* recovered = nullptr);
 
+  /// add_packet(id) for a structure-only decoder, inline and without the
+  /// range check (checked in debug and sanitizer builds, util/check.h):
+  /// the grid trackers' hot path.  Requires symbol_size() == 0 and
+  /// id < n(); same return value and state change as add_packet(id).
+  std::uint32_t add_packet_structural(PacketId id) {
+    FECSCHED_HOT_CHECK(symbol_size_ == 0 && id < n());
+    StructureOnly sink;
+    return learn(id, nullptr, sink);
+  }
+
   /// All k source packets recovered?
   [[nodiscard]] bool source_complete() const noexcept {
     return known_sources_ == k_;
@@ -75,7 +87,7 @@ class PeelingDecoder {
   /// Number of unknown variables remaining in equation `row` — exposed for
   /// the Gaussian-elimination fallback and for tests.
   [[nodiscard]] std::uint32_t unknowns_in_row(std::uint32_t row) const {
-    return row_unknowns_.at(row);
+    return rows_.at(row).unknowns;
   }
 
   /// XOR accumulator of the *known* members' payloads of `row`
@@ -100,20 +112,77 @@ class PeelingDecoder {
               std::size_t symbol_size = 0);
 
  private:
-  std::uint32_t learn(PacketId id, std::span<const std::uint8_t> payload,
-                      std::vector<PacketId>* recovered);
-  void make_known(PacketId id, const std::uint8_t* payload,
-                  std::vector<PacketId>* recovered);
+  /// One equation's peeling state.
+  struct RowState {
+    std::uint32_t unknowns;  ///< unknown variables left in the row
+    std::uint32_t xor_id;    ///< XOR of their ids (the last one, at 1)
+  };
+
+  /// learn()'s side effects beyond the row bookkeeping: none in
+  /// structure-only mode without a report (the grid hot path).
+  struct StructureOnly {
+    void source(PacketId) const noexcept {}
+    const std::uint8_t* store(PacketId, const std::uint8_t*) const noexcept {
+      return nullptr;
+    }
+    void edge(std::uint32_t, const std::uint8_t*) const noexcept {}
+    const std::uint8_t* row_payload(std::uint32_t) const noexcept {
+      return nullptr;
+    }
+  };
+  /// Payload accumulation and the `recovered` report (peeling_decoder.cc).
+  class PayloadSink;
+
+  /// Make `id` known (payload from `payload` through `sink`) and peel the
+  /// cascade it starts; returns the number of variables made known.
+  template <class Sink>
+  std::uint32_t learn(PacketId id, const std::uint8_t* payload, Sink& sink) {
+    if (known_[id]) return 0;  // duplicate: no new information
+    const std::uint32_t before = known_total_;
+    make_known(id, payload, sink);
+    while (!ready_.empty()) {
+      const std::uint32_t r = ready_.back();
+      ready_.pop_back();
+      if (rows_[r].unknowns != 1) continue;  // stale entry: solved meanwhile
+      // A row's XOR covers exactly its unknown ids, so with one left it
+      // names an unknown variable.
+      const PacketId missing = rows_[r].xor_id;
+      FECSCHED_HOT_CHECK(!known_[missing]);
+      // The single unknown of an equation equals the XOR of its known
+      // members, which is exactly the row accumulator.
+      make_known(missing, sink.row_payload(r), sink);
+    }
+    return known_total_ - before;
+  }
+
+  template <class Sink>
+  void make_known(PacketId id, const std::uint8_t* payload, Sink& sink) {
+    known_[id] = 1;
+    ++known_total_;
+    known_sources_ += id < k_ ? 1 : 0;
+    if (id < k_) sink.source(id);
+    const std::uint8_t* stored = sink.store(id, payload);
+    for (const std::uint32_t r : h_->col_unchecked(id)) {
+      RowState& row = rows_[r];
+      row.xor_id ^= id;
+      sink.edge(r, stored);
+      if (--row.unknowns == 1) ready_.push_back(r);
+    }
+  }
+
+  std::uint32_t learn_checked(PacketId id, std::span<const std::uint8_t> payload,
+                              std::vector<PacketId>* recovered,
+                              const char* caller);
 
   const SparseBinaryMatrix* h_;
   std::uint32_t k_;
   std::size_t symbol_size_;
-  std::vector<char> known_;                 // per variable
-  std::vector<std::uint32_t> row_unknowns_; // per equation
-  std::vector<std::uint32_t> row_xor_id_;   // XOR of unknown ids per equation
-  std::vector<std::uint8_t> symbols_;       // n * symbol_size (payload mode)
-  std::vector<std::uint8_t> row_acc_;       // rows * symbol_size (payload mode)
-  std::vector<std::uint32_t> ready_rows_;   // scratch stack
+  std::vector<char> known_;                // per variable
+  std::vector<RowState> rows_;             // per equation
+  std::vector<std::uint32_t> fresh_xor_;   // XOR of each row's ids (reset image)
+  std::vector<std::uint8_t> symbols_;      // n * symbol_size (payload mode)
+  std::vector<std::uint8_t> row_acc_;      // rows * symbol_size (payload mode)
+  std::vector<std::uint32_t> ready_;       // rows with one unknown (stack)
   std::uint32_t known_sources_ = 0;
   std::uint32_t known_total_ = 0;
 };

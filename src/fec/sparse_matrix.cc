@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace fecsched {
 
@@ -48,14 +49,9 @@ SparseBinaryMatrix::SparseBinaryMatrix(std::uint32_t rows, std::uint32_t cols,
       col_rows_[next[row_cols_[i]]++] = r;
 }
 
-std::span<const std::uint32_t> SparseBinaryMatrix::row(std::uint32_t r) const {
-  if (r >= rows_) throw std::invalid_argument("SparseBinaryMatrix::row: range");
-  return {row_cols_.data() + row_ptr_[r], row_ptr_[r + 1] - row_ptr_[r]};
-}
-
-std::span<const std::uint32_t> SparseBinaryMatrix::col(std::uint32_t c) const {
-  if (c >= cols_) throw std::invalid_argument("SparseBinaryMatrix::col: range");
-  return {col_rows_.data() + col_ptr_[c], col_ptr_[c + 1] - col_ptr_[c]};
+void SparseBinaryMatrix::out_of_range(const char* what) {
+  throw std::invalid_argument(std::string("SparseBinaryMatrix::") + what +
+                              ": range");
 }
 
 bool SparseBinaryMatrix::at(std::uint32_t r, std::uint32_t c) const {

@@ -1,6 +1,7 @@
 #include "sim/experiment.h"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "channel/gilbert.h"
@@ -31,10 +32,27 @@ LdgmVariant variant_of(CodeKind code) {
   }
 }
 
-std::uint32_t ldgm_n(std::uint32_t k, double ratio) {
-  if (!(ratio > 1.0))
+/// The config's graph_count LDGM graphs (seeds (code_seed, {g})).
+std::vector<std::shared_ptr<const LdgmCode>> build_graphs(
+    const ExperimentConfig& config) {
+  if (config.graph_count == 0)
+    throw std::invalid_argument("ExperimentConfig: graph_count >= 1");
+  if (!(config.expansion_ratio > 1.0))
     throw std::invalid_argument("ExperimentConfig: LDGM needs ratio > 1");
-  return static_cast<std::uint32_t>(std::llround(ratio * k));
+  LdgmParams params;
+  params.k = config.k;
+  params.n = static_cast<std::uint32_t>(
+      std::llround(config.expansion_ratio * config.k));
+  params.variant = variant_of(config.code);
+  params.left_degree = config.left_degree;
+  params.triangle_extra_per_row = config.triangle_extra_per_row;
+  std::vector<std::shared_ptr<const LdgmCode>> graphs;
+  graphs.reserve(config.graph_count);
+  for (std::uint32_t g = 0; g < config.graph_count; ++g) {
+    params.seed = derive_seed(config.code_seed, {g});
+    graphs.push_back(std::make_shared<const LdgmCode>(params));
+  }
+  return graphs;
 }
 
 }  // namespace
@@ -64,23 +82,10 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
           config.k, config.replication_copies);
       n_total_ = state->repl_plan->n();
       break;
-    default: {
-      if (config.graph_count == 0)
-        throw std::invalid_argument("ExperimentConfig: graph_count >= 1");
-      LdgmParams params;
-      params.k = config.k;
-      params.n = ldgm_n(config.k, config.expansion_ratio);
-      params.variant = variant_of(config.code);
-      params.left_degree = config.left_degree;
-      params.triangle_extra_per_row = config.triangle_extra_per_row;
-      state->graphs.reserve(config.graph_count);
-      for (std::uint32_t g = 0; g < config.graph_count; ++g) {
-        params.seed = derive_seed(config.code_seed, {g});
-        state->graphs.push_back(std::make_shared<const LdgmCode>(params));
-      }
-      n_total_ = params.n;
+    default:
+      state->graphs = build_graphs(config);
+      n_total_ = state->graphs.front()->n();
       break;
-    }
   }
   state_ = std::move(state);
 }
@@ -125,7 +130,7 @@ TrialResult Experiment::run_once(double p, double q, std::uint64_t seed) const {
 
   // Per-trial observability hook (src/obs/): dormant unless a session is
   // armed, in which case the schedule/encode work is phase-timed and the
-  // replay runs through the instrumented run_trial_observed.
+  // replay runs the observed instantiation of the trial loop.
   const obs::Hook hook;
 
   const std::uint64_t graph_pick = derive_seed(seed, {kTagGraphPick});
@@ -153,11 +158,19 @@ TrialResult Experiment::run_once(double p, double q, std::uint64_t seed) const {
   else
     hook.timed(obs::Phase::kEncode, [&] { tracker->reset(); });
 
+  // One dispatch per trial onto the concrete (final) tracker new_tracker
+  // built for this code, so the trial loop makes no virtual call.
   GilbertModel channel(p, q);
   channel.reset(derive_seed(seed, {kTagChannel}));
-  if (hook.engaged())
-    return run_trial_observed(*tracker, ws.schedule, channel, config_.k, hook);
-  return run_trial(*tracker, ws.schedule, channel);
+  const auto run = [&](auto& t) {
+    return run_trial_with(t, ws.schedule, channel, &hook, config_.k);
+  };
+  switch (config_.code) {
+    case CodeKind::kRse: return run(static_cast<RseTracker&>(*tracker));
+    case CodeKind::kReplication:
+      return run(static_cast<ReplicationTracker&>(*tracker));
+    default: return run(static_cast<LdgmTracker&>(*tracker));
+  }
 }
 
 TrialFn Experiment::trial_fn() const {
@@ -180,21 +193,8 @@ std::vector<RxModelPoint> run_rx_model1_series(
     std::uint64_t master_seed, unsigned threads) {
   if (config.code == CodeKind::kRse || config.code == CodeKind::kReplication)
     throw std::invalid_argument("run_rx_model1_series: LDGM codes only");
-  if (config.graph_count == 0)
-    throw std::invalid_argument("run_rx_model1_series: graph_count >= 1");
-
-  LdgmParams params;
-  params.k = config.k;
-  params.n = ldgm_n(config.k, config.expansion_ratio);
-  params.variant = variant_of(config.code);
-  params.left_degree = config.left_degree;
-  params.triangle_extra_per_row = config.triangle_extra_per_row;
-
-  std::vector<std::shared_ptr<const LdgmCode>> graphs;
-  for (std::uint32_t g = 0; g < config.graph_count; ++g) {
-    params.seed = derive_seed(config.code_seed, {g});
-    graphs.push_back(std::make_shared<const LdgmCode>(params));
-  }
+  const std::vector<std::shared_ptr<const LdgmCode>> graphs =
+      build_graphs(config);
 
   std::vector<RxModelPoint> series(source_counts.size());
   // Per-point seeds are (master_seed, point, trial), and each point is
@@ -203,6 +203,8 @@ std::vector<RxModelPoint> run_rx_model1_series(
   const auto run_point = [&](std::size_t i) {
     RxModelPoint& point = series[i];
     point.source_count = source_counts[i];
+    // One tracker per graph for the whole point, reset between trials.
+    std::vector<std::optional<LdgmTracker>> trackers(graphs.size());
     for (std::uint32_t t = 0; t < trials; ++t) {
       const std::uint64_t seed = derive_seed(master_seed, {i, t});
       const auto& code = graphs[t % graphs.size()];
@@ -210,8 +212,12 @@ std::vector<RxModelPoint> run_rx_model1_series(
       const std::vector<PacketId> seq =
           make_rx_model1_sequence(*code, point.source_count, rng);
       PerfectChannel channel;
-      LdgmTracker tracker(code, config.ge_fallback);
-      const TrialResult r = run_trial(tracker, seq, channel);
+      std::optional<LdgmTracker>& tracker = trackers[t % graphs.size()];
+      if (tracker)
+        tracker->reset();
+      else
+        tracker.emplace(code, config.ge_fallback);
+      const TrialResult r = run_trial_with(*tracker, seq, channel);
       if (r.decoded)
         point.inefficiency.add(r.inefficiency(config.k));
       else

@@ -39,14 +39,7 @@ LdgmTracker::LdgmTracker(std::shared_ptr<const LdgmCode> code, bool ge_fallback)
       decoder_(code_->matrix(), code_->k()),
       ge_fallback_(ge_fallback) {}
 
-void LdgmTracker::on_packet(PacketId id) {
-  if (complete_) return;
-  decoder_.add_packet(id);
-  if (decoder_.source_complete()) {
-    complete_ = true;
-    return;
-  }
-  if (!ge_fallback_) return;
+void LdgmTracker::try_ge() {
   // ML decoding could complete earlier than peeling.  Running a Gaussian
   // elimination after every packet would be quadratic in practice, so
   // attempts are strided once enough variables are known for completion to

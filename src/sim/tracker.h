@@ -85,7 +85,17 @@ class LdgmTracker final : public ErasureTracker {
   explicit LdgmTracker(std::shared_ptr<const LdgmCode> code,
                        bool ge_fallback = false);
 
-  void on_packet(PacketId id) override;
+  /// Inline structure-only peeling (the grid's hot path); `id` must be
+  /// below n (checked in debug and sanitizer builds only).
+  void on_packet(PacketId id) override {
+    if (complete_) return;
+    decoder_.add_packet_structural(id);
+    if (decoder_.source_complete()) {
+      complete_ = true;
+      return;
+    }
+    if (ge_fallback_) try_ge();
+  }
   [[nodiscard]] bool complete() const override { return complete_; }
   void reset() override;
 
@@ -98,6 +108,9 @@ class LdgmTracker final : public ErasureTracker {
   }
 
  private:
+  /// The strided Gaussian-elimination attempt of the ML ablation.
+  void try_ge();
+
   std::shared_ptr<const LdgmCode> code_;
   PeelingDecoder decoder_;
   bool ge_fallback_;

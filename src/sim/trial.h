@@ -40,19 +40,25 @@ struct TrialResult {
 /// consume channel capacity); the tracker decides which ones carry new
 /// information.  The run continues after decoding completes so n_received
 /// reflects the full transmission (used by the paper's n_received/k
-/// curves).
+/// curves).  The type-erased form of run_trial_with.
 [[nodiscard]] TrialResult run_trial(ErasureTracker& tracker,
                                     std::span<const PacketId> schedule,
                                     LossModel& channel);
 
-/// run_trial with observability: identical channel draws and tracker
-/// calls (bit-identical TrialResult), plus phase timing, grid.* metrics
-/// and symbol-lifecycle trace events through `hook`.  `k` is the source
-/// count (ids below k are sources).  Engines call this only when the
-/// hook is engaged, so the plain run_trial hot loop stays untouched.
-[[nodiscard]] TrialResult run_trial_observed(ErasureTracker& tracker,
-                                             std::span<const PacketId> schedule,
-                                             LossModel& channel, std::uint32_t k,
-                                             const obs::Hook& hook);
+/// The trial loop over concrete types, as Experiment::run_once runs it:
+/// with a final tracker and channel no call per packet is virtual.  With
+/// an engaged `hook` the same loop also times every draw and tracker call
+/// and emits trace events and the grid.* metrics (`k` is the source count:
+/// ids below k are sources); otherwise observation compiles out.  Every
+/// instantiation makes the identical draws and tracker calls, so the
+/// TrialResult depends on neither the types nor the hook.  Instantiated in
+/// trial.cc for the grid trackers with GilbertModel (and LdgmTracker with
+/// PerfectChannel).
+template <class Tracker, class Channel>
+[[nodiscard]] TrialResult run_trial_with(Tracker& tracker,
+                                         std::span<const PacketId> schedule,
+                                         Channel& channel,
+                                         const obs::Hook* hook = nullptr,
+                                         std::uint32_t k = 0);
 
 }  // namespace fecsched

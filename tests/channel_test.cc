@@ -412,5 +412,54 @@ TEST(Analytic, GlobalLossProbability) {
   EXPECT_NEAR(global_loss_probability(0.0109, 0.7915), 0.0135, 0.0005);
 }
 
+// GilbertModel::lost() draws branchlessly against integer thresholds
+// ceil(x * 2^53); it must equal the Rng::bernoulli form of the chain verdict
+// for verdict.  One Rng output per verdict on both sides: on the
+// non-degenerate points a consumption mismatch would desynchronise every
+// later verdict.
+struct BernoulliGilbert {
+  BernoulliGilbert(double p, double q, std::uint64_t seed) : p(p), q(q) {
+    rng.reseed(seed);
+    in_loss = rng.bernoulli((p + q) > 0.0 ? p / (p + q) : 0.0);
+  }
+  bool lost() {
+    const bool erased = in_loss;
+    in_loss = in_loss ? !rng.bernoulli(q) : rng.bernoulli(p);
+    return erased;
+  }
+  double p, q;
+  Rng rng;
+  bool in_loss = false;
+};
+
+TEST(GilbertModel, BranchlessDrawMatchesBernoulliReference) {
+  // The paper grid's extremes (0, 0.01, 1), a tiny probability, 0.5 (an
+  // exactly representable threshold, 2^52) and q = 1 - p.
+  const std::vector<double> values = {0.0, 1.0, 1e-12, 0.5, 0.01, 0.99, 0.3};
+  std::vector<std::pair<double, double>> points;
+  for (const double p : values) {
+    for (const double q : values) points.emplace_back(p, q);
+    points.emplace_back(p, 1.0 - p);  // the memoryless channel
+  }
+  constexpr int kDraws = 1000000;
+  std::uint64_t seed = 0;
+  for (const auto& [p, q] : points) {
+    ++seed;
+    GilbertModel model(p, q);
+    LossModel& channel = model;  // through the virtual interface too
+    for (int pass = 0; pass < 2; ++pass) {
+      // Pass 1 re-seeds the same model: reset must restart the sequence.
+      channel.reset(seed);
+      BernoulliGilbert reference(p, q, seed);
+      for (int i = 0; i < kDraws; ++i) {
+        const bool want = reference.lost();
+        const bool got = i % 2 == 0 ? model.lost() : channel.lost();
+        ASSERT_EQ(got, want) << "p=" << p << " q=" << q << " draw " << i
+                             << " pass " << pass;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fecsched

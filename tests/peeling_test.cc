@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include "channel/gilbert.h"
 #include "fec/ldgm.h"
 #include "fec/peeling_decoder.h"
+#include "sched/tx_models.h"
 #include "util/rng.h"
 
 namespace fecsched {
@@ -367,6 +369,90 @@ INSTANTIATE_TEST_SUITE_P(
         default: name = "Triangle"; break;
       }
       return name + (std::get<1>(info.param) ? "Payload" : "Structure");
+    });
+
+// The grid trackers' inline structure-only path (add_packet_structural)
+// against the checked payload-mode add_packet, call by call: same return
+// value, same known-variable and known-source counts, and source_complete()
+// flipping at the same packet — over every LDGM variant, every Tx model and
+// lossy Gilbert channels.
+class PeelingFastPath
+    : public ::testing::TestWithParam<std::tuple<LdgmVariant, TxModel>> {};
+
+/// Fresh-state equality: nothing known and every row at its full degree.
+void expect_fresh(const PeelingDecoder& d) {
+  EXPECT_EQ(d.known_variable_count(), 0u);
+  EXPECT_EQ(d.known_source_count(), 0u);
+  EXPECT_FALSE(d.source_complete());
+  const SparseBinaryMatrix& h = d.matrix();
+  for (std::uint32_t r = 0; r < h.rows(); ++r)
+    ASSERT_EQ(d.unknowns_in_row(r), h.row_degree(r)) << "row " << r;
+  for (PacketId id = 0; id < d.n(); ++id)
+    ASSERT_FALSE(d.is_known(id)) << "variable " << id;
+}
+
+TEST_P(PeelingFastPath, StructuralPathMatchesPayloadDecoder) {
+  const auto [variant, tx] = GetParam();
+  constexpr std::uint32_t k = 400;
+  constexpr std::size_t kSymbol = 8;
+  const auto code_a = make_code(k, 1000, variant, 7);
+  const auto code_b = make_code(k, 600, variant, 8);
+  const std::vector<std::uint8_t> payload(kSymbol, 0x5a);
+  // One structure-only decoder reused across trials and graphs (reset and
+  // rebind), against a fresh payload-mode decoder per trial.
+  PeelingDecoder fast(code_a.matrix(), k);
+  const struct {
+    double p, q;
+  } channels[] = {{0.02, 0.5}, {0.1, 0.3}, {0.3, 0.7}, {0.05, 0.05}};
+  std::uint64_t trial = 0;
+  for (const LdgmCode* code : {&code_a, &code_b, &code_a}) {
+    if (&fast.matrix() != &code->matrix()) fast.rebind(code->matrix(), k);
+    expect_fresh(fast);
+    for (const auto& ch : channels) {
+      ++trial;
+      Rng sched_rng(derive_seed(31, {trial}));
+      const std::vector<PacketId> schedule = make_schedule(*code, tx, sched_rng);
+      GilbertModel channel(ch.p, ch.q);
+      channel.reset(derive_seed(32, {trial}));
+      PeelingDecoder reference(code->matrix(), k, kSymbol);
+      std::uint32_t fed = 0;
+      for (const PacketId id : schedule) {
+        if (channel.lost()) continue;
+        ++fed;
+        const std::uint32_t want = reference.add_packet(id, payload);
+        ASSERT_EQ(fast.add_packet_structural(id), want)
+            << "trial " << trial << " packet " << fed;
+        ASSERT_EQ(fast.known_variable_count(), reference.known_variable_count());
+        ASSERT_EQ(fast.known_source_count(), reference.known_source_count());
+        ASSERT_EQ(fast.source_complete(), reference.source_complete());
+      }
+      fast.reset();
+      expect_fresh(fast);
+    }
+  }
+  EXPECT_GT(trial, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    VariantsAndTxModels, PeelingFastPath,
+    ::testing::Combine(::testing::Values(LdgmVariant::kIdentity,
+                                         LdgmVariant::kStaircase,
+                                         LdgmVariant::kTriangle),
+                       ::testing::Values(TxModel::kTx1SeqSourceSeqParity,
+                                         TxModel::kTx2SeqSourceRandParity,
+                                         TxModel::kTx3SeqParityRandSource,
+                                         TxModel::kTx4AllRandom,
+                                         TxModel::kTx5Interleaved,
+                                         TxModel::kTx6FewSourceRandParity)),
+    [](const auto& info) {
+      std::string name;
+      switch (std::get<0>(info.param)) {
+        case LdgmVariant::kIdentity: name = "Identity"; break;
+        case LdgmVariant::kStaircase: name = "Staircase"; break;
+        default: name = "Triangle"; break;
+      }
+      return name + "Tx" +
+             std::to_string(static_cast<int>(std::get<1>(info.param)));
     });
 
 }  // namespace

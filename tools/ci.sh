@@ -69,6 +69,15 @@ FECSCHED_GF_BACKEND=scalar ./fecsched_cli stream --p=0.02 --q=0.4 --sources=800 
   | cmp - ../tools/pinned/stream_point.txt
 FECSCHED_GF_BACKEND=scalar ./fecsched_cli mpath --p=0.02 --q=0.4 --sources=600 --trials=2 \
   | cmp - ../tools/pinned/mpath_point.txt
+# 4. the grid engine for every code family (RSE, replication, LDGM
+#    identity / staircase / triangle, triangle with the Gaussian-elimination
+#    fallback) x all six Tx models at reduced scale (tools/grid_pins.cc),
+#    exact cell aggregates on both backends.
+for code in rse replication ldgm ldgm-staircase ldgm-triangle ldgm-triangle-ge; do
+  ./grid_pins --code=$code | cmp - ../tools/pinned/grid_codes/$code.txt
+  FECSCHED_GF_BACKEND=scalar ./grid_pins --code=$code \
+    | cmp - ../tools/pinned/grid_codes/$code.txt
+done
 echo "codec gate: kernels bit-identical, perf criteria met"
 
 # Scenario API gate (src/api/, -Werror via CMake):
@@ -378,3 +387,17 @@ rm -f BENCH_net_ledger.jsonl
   > /dev/null
 grep -q '"kind":"bench","label":"bench_packetize"' BENCH_net_ledger.jsonl
 echo "net gate: wire round-trips fuzz-clean, loopback matches simulation on both backends"
+
+# Sanitizer gate: the structure-only hot paths (peeling decoder, grid
+# trackers, trial loop, channel draw) index without range checks in
+# release builds; an ASan + UBSan build (every UBSan finding fatal) with
+# the hot-path checks compiled in (util/check.h) runs their suites.
+cd ..
+cmake -S . -B build-asan -DFECSCHED_SANITIZE="address;undefined" \
+  -DFECSCHED_BUILD_BENCHES=OFF -DFECSCHED_BUILD_EXAMPLES=OFF \
+  -DFECSCHED_BUILD_TOOLS=OFF
+cmake --build build-asan -j --target peeling_test channel_test \
+  trial_grid_test broadcast_memory_test experiment_test
+(cd build-asan && ctest --output-on-failure --no-tests=error \
+  -R 'Peeling|Gilbert|PerfectChannel|NStateMarkov|TraceModel|Analytic|RunTrial|RunGrid|GridSpec|Replication|Broadcast|MemoryMetric|Experiment|TxModel|RxModel|LosslessSequentialSource')
+echo "sanitizer gate: tracker, peeling, trial-grid and channel suites clean under ASan+UBSan"
