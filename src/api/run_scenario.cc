@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 
@@ -31,7 +32,7 @@
 
 namespace fecsched::api {
 
-void StreamOutcome::add(const StreamTrialResult& r) {
+void DelayOutcome::add(const StreamTrialResult& r) {
   delays.insert(delays.end(), r.delays.begin(), r.delays.end());
   delivered += r.delay.delivered;
   lost += r.residual.lost;
@@ -45,6 +46,31 @@ void StreamOutcome::add(const StreamTrialResult& r) {
   packets_sent += r.packets_sent;
   packets_received += r.packets_received;
   ++trials;
+}
+
+void DelayOutcome::finish() { std::sort(delays.begin(), delays.end()); }
+
+void MpathOutcome::add(const MpathTrialResult& r) {
+  DelayOutcome::add(r.stream);
+  reordered_fraction_sum += r.reordered_fraction;
+  if (paths.empty()) {
+    paths = r.paths;
+    return;
+  }
+  for (std::size_t i = 0; i < r.paths.size(); ++i) {
+    paths[i].sent += r.paths[i].sent;
+    paths[i].lost += r.paths[i].lost;
+    paths[i].mean_queue_wait += r.paths[i].mean_queue_wait;
+    paths[i].mean_transit += r.paths[i].mean_transit;
+  }
+}
+
+void MpathOutcome::finish() {
+  DelayOutcome::finish();
+  for (PathStats& path : paths) {
+    path.mean_queue_wait /= static_cast<double>(trials);
+    path.mean_transit /= static_cast<double>(trials);
+  }
 }
 
 namespace {
@@ -95,27 +121,47 @@ void validate_control(const ScenarioSpec& spec, const RunControl& control,
   }
 }
 
-/// Fill the manifest, merge the session's observations (when armed) and
-/// write the trace file.  Called after the engine joined its workers.
-void finish_observability(const ScenarioSpec& spec, obs::Session& session,
-                          std::chrono::steady_clock::time_point t0,
-                          const std::string& started_at,
-                          obs::RunManifest& manifest,
-                          std::optional<obs::Report>& out) {
+/// Validate, run `engine` inside an observation session, then fill the
+/// manifest, merge the session's observations (when armed) and write the
+/// trace/timeline files — the shared frame of run_scenario and
+/// run_scenario_sweep.  `engine` returns once every worker joined.
+template <class Result, class Engine>
+Result observed_run(const ScenarioSpec& spec, const RunControl& control,
+                    bool sweeping, Engine&& engine) {
+  spec.validate();
+  validate_control(spec, control, sweeping);
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string started_at =
+      obs::iso8601_utc(std::chrono::system_clock::now());
+  obs::Session session(spec.obs.config());
+  Result result = engine();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  manifest = make_manifest(spec, wall, started_at);
-  if (!session.active()) return;
+  result.manifest = make_manifest(spec, wall, started_at);
+  if (!session.active()) return result;
   obs::Report report = session.finish();
   if (!spec.obs.trace.empty())
     obs::write_trace_file(
         spec.obs.trace,
-        obs::manifest_to_trace_line(manifest, spec.obs.trace_sample),
+        obs::manifest_to_trace_line(result.manifest, spec.obs.trace_sample),
         report.events, report.metrics);
   if (!spec.obs.timeline.empty())
-    obs::write_timeline_file(spec.obs.timeline, manifest, report);
-  out = std::move(report);
+    obs::write_timeline_file(spec.obs.timeline, result.manifest, report);
+  result.obs = std::move(report);
+  return result;
+}
+
+/// The run provenance every engine's result starts from.
+ScenarioResult result_header(const ScenarioSpec& spec) {
+  ScenarioResult result;
+  result.engine = spec.engine;
+  const ChannelPoint pt = spec.channel.point();
+  result.p = pt.p;
+  result.q = pt.q;
+  result.trials = spec.run.trials;
+  result.seed = spec.run.seed;
+  return result;
 }
 
 GridRunOptions to_grid_options(const ScenarioSpec& spec,
@@ -147,13 +193,7 @@ GridResult run_grid_result(const ScenarioSpec& spec, const RunControl& control,
 
 ScenarioResult run_grid_engine(const ScenarioSpec& spec,
                                const RunControl& control) {
-  ScenarioResult result;
-  result.engine = spec.engine;
-  const ChannelPoint pt = spec.channel.point();
-  result.p = pt.p;
-  result.q = pt.q;
-  result.trials = spec.run.trials;
-  result.seed = spec.run.seed;
+  ScenarioResult result = result_header(spec);
 
   const ExperimentConfig cfg = to_experiment_config(spec);
   const Experiment experiment(cfg);
@@ -178,12 +218,13 @@ ScenarioResult run_grid_engine(const ScenarioSpec& spec,
   return result;
 }
 
-// -------------------------------------------------------------- stream
+// ------------------------------------------- stream, net and mpath
 
-/// The single-point stream/mpath engines merge every trial's full delay
-/// distribution (the CLI's histogram output), so they carry the CLI's
-/// historical memory guard — and they cannot honour axis sweep lists, so
-/// a populated sweep section is an error here, not a silent no-op.
+/// The single-point stream/net/mpath engines merge every trial's full
+/// delay distribution (the CLI's histogram output), so they carry the
+/// CLI's historical memory guard — and they cannot honour axis sweep
+/// lists, so a populated sweep section is an error here, not a silent
+/// no-op.
 void check_single_point_spec(const ScenarioSpec& spec) {
   if (!spec.sweep.empty())
     throw std::invalid_argument(
@@ -198,18 +239,47 @@ void check_single_point_spec(const ScenarioSpec& spec) {
         "distribution is held in memory)");
 }
 
-std::vector<StreamVariant> stream_variants(const ScenarioSpec& spec) {
-  if (spec.code.name.empty()) return StreamGridConfig::default_variants();
-  const StreamScheme scheme = registry().stream_scheme(spec.code.name);
-  const StreamScheduling sched = registry().stream_scheduling(spec.tx.stream);
-  return {{std::string(to_string(scheme)), scheme, sched}};
+/// The one (variant x trial) loop of the stream, net and mpath engines.
+/// Trial t of variant v runs under trial ordinal v·trials + t and the
+/// per-trial watchdog; `fold(outcome, v, seed, t)` runs it with seed
+/// derive_seed(run.seed, {v, t}) and folds it into `outcome`.  Serial,
+/// but visible to a --progress meter (one tick per trial); an interrupt
+/// stops it at the next trial boundary.
+template <class Outcome, class Variant, class Fold>
+std::vector<Outcome> run_variant_trials(const ScenarioSpec& spec,
+                                        const RunControl& control,
+                                        const std::vector<Variant>& variants,
+                                        Fold&& fold) {
+  const std::uint32_t trials = spec.run.trials;
+  ParallelObserver* const progress = parallel_observer();
+  if (progress != nullptr) progress->on_batch(variants.size() * trials);
+  std::vector<Outcome> outcomes;
+  outcomes.reserve(variants.size());
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    if (interrupt::interrupted()) break;
+    Outcome& outcome = outcomes.emplace_back();
+    outcome.variant = variants[v];
+    // At most one delay per source per trial: reserving the bound spares
+    // the pooled vector its doubling slack and grow-copies.
+    outcome.delays.reserve(std::size_t{trials} * spec.run.sources);
+    for (std::uint32_t t = 0; t < trials; ++t) {
+      if (interrupt::interrupted()) break;
+      const obs::TrialScope trial_scope(v * trials + t);
+      const watchdog::TrialGuard deadline(control.trial_timeout_ms);
+      fold(outcome, v, derive_seed(spec.run.seed, {v, t}), t);
+      if (progress != nullptr) progress->on_item_done();
+    }
+    outcome.finish();
+  }
+  return outcomes;
 }
 
-/// The headline summary of an engine's first outcome (StreamOutcome or
-/// MpathOutcome), whose delays are sorted.
-template <class Outcome>
-void fill_delay_summary(ScenarioSummary& summary, const Outcome& o,
+/// The headline summary of an engine's first outcome.  An interrupt can
+/// drain the run before any trial completes; a summary over nothing
+/// stays empty (the CLI does not print interrupted results anyway).
+void fill_delay_summary(ScenarioSummary& summary, const DelayOutcome& o,
                         std::uint32_t source_count) {
+  if (o.trials == 0) return;
   summary.delay_mean = o.mean();
   summary.delay_p50 = sorted_percentile(o.delays, 0.50);
   summary.delay_p95 = sorted_percentile(o.delays, 0.95);
@@ -229,88 +299,55 @@ void fill_delay_summary(ScenarioSummary& summary, const Outcome& o,
   }
 }
 
+std::vector<StreamVariant> stream_variants(const ScenarioSpec& spec) {
+  if (spec.code.name.empty()) return StreamGridConfig::default_variants();
+  const StreamScheme scheme = registry().stream_scheme(spec.code.name);
+  const StreamScheduling sched = registry().stream_scheduling(spec.tx.stream);
+  return {{std::string(to_string(scheme)), scheme, sched}};
+}
+
+/// A fresh model of the spec's channel point (one per trial).
+std::unique_ptr<LossModel> new_channel(const ScenarioSpec& spec) {
+  const ChannelPoint pt = spec.channel.point();
+  return registry().make_channel(spec.channel.model, {pt.p, pt.q});
+}
+
 ScenarioResult run_stream_engine(const ScenarioSpec& spec,
                                  const RunControl& control) {
   check_single_point_spec(spec);
-  ScenarioResult result;
-  result.engine = spec.engine;
-  const ChannelPoint pt = spec.channel.point();
-  result.p = pt.p;
-  result.q = pt.q;
-  result.trials = spec.run.trials;
-  result.seed = spec.run.seed;
-
+  ScenarioResult result = result_header(spec);
   const StreamTrialConfig base = to_stream_config(spec);
   result.stream_base = base;
   const std::vector<StreamVariant> variants = stream_variants(spec);
   // Validate every variant before running any trial.
-  for (const StreamVariant& v : variants) {
-    StreamTrialConfig cfg = base;
-    cfg.scheme = v.scheme;
-    cfg.scheduling = v.scheduling;
-    cfg.validate();
-  }
-
-  // Serial loop, but still visible to a --progress meter: one tick per
-  // (variant, trial), announced up front so the ETA has a denominator.
-  ParallelObserver* const progress = parallel_observer();
-  if (progress != nullptr)
-    progress->on_batch(variants.size() * spec.run.trials);
-
+  std::vector<StreamTrialConfig> configs(variants.size(), base);
   for (std::size_t v = 0; v < variants.size(); ++v) {
-    if (interrupt::interrupted()) break;
-    StreamOutcome outcome;
-    outcome.variant = variants[v];
-    // At most one delay per source per trial: reserving the bound spares
-    // the pooled vector its doubling slack and grow-copies.
-    outcome.delays.reserve(std::size_t{spec.run.trials} * base.source_count);
-    StreamTrialConfig cfg = base;
-    cfg.scheme = variants[v].scheme;
-    cfg.scheduling = variants[v].scheduling;
-    for (std::uint32_t t = 0; t < spec.run.trials; ++t) {
-      if (interrupt::interrupted()) break;
-      const obs::TrialScope trial_scope(
-          static_cast<std::uint64_t>(v) * spec.run.trials + t);
-      const watchdog::TrialGuard deadline(control.trial_timeout_ms);
-      const auto channel =
-          registry().make_channel(spec.channel.model, {pt.p, pt.q});
-      const StreamTrialResult r =
-          run_stream_trial(cfg, *channel, derive_seed(spec.run.seed, {v, t}));
-      outcome.add(r);
-      if (progress != nullptr) progress->on_item_done();
-    }
-    std::sort(outcome.delays.begin(), outcome.delays.end());
-    result.stream.push_back(std::move(outcome));
+    configs[v].scheme = variants[v].scheme;
+    configs[v].scheduling = variants[v].scheduling;
+    configs[v].validate();
   }
-
-  // An interrupt can drain the run before any variant completes; a
-  // summary over nothing stays empty (the CLI does not print interrupted
-  // results anyway).
+  result.stream = run_variant_trials<StreamOutcome>(
+      spec, control, variants,
+      [&](StreamOutcome& outcome, std::size_t v, std::uint64_t seed,
+          std::uint32_t) {
+        outcome.add(run_stream_trial(configs[v], *new_channel(spec), seed));
+      });
   if (!result.stream.empty())
     fill_delay_summary(result.summary, result.stream.front(),
                        base.source_count);
   return result;
 }
 
-// ----------------------------------------------------------------- net
-
-/// The wire twin of run_stream_engine: the same serial (variant, trial)
-/// accounting, but every trial crosses a real transport via
-/// run_net_trial.  When spec.net.parity is on (the default), each trial
-/// is re-run through run_stream_trial with the same seed and a fresh
-/// channel, and any divergence in the delivered-delay distribution is
-/// counted — the sim-vs-wire parity contract is tolerance ZERO.
+/// The wire twin of run_stream_engine: one variant, but every trial
+/// crosses a real transport via run_net_trial.  When spec.net.parity is
+/// on (the default), each trial is re-run through run_stream_trial with
+/// the same seed and a fresh channel, and any divergence in the
+/// delivered-delay distribution is counted — the sim-vs-wire parity
+/// contract is tolerance ZERO.
 ScenarioResult run_net_engine(const ScenarioSpec& spec,
                               const RunControl& control) {
   check_single_point_spec(spec);
-  ScenarioResult result;
-  result.engine = spec.engine;
-  const ChannelPoint pt = spec.channel.point();
-  result.p = pt.p;
-  result.q = pt.q;
-  result.trials = spec.run.trials;
-  result.seed = spec.run.seed;
-
+  ScenarioResult result = result_header(spec);
   const net::NetTrialConfig base = to_net_config(spec);
   base.validate();
   result.net_base = base;
@@ -318,73 +355,62 @@ ScenarioResult run_net_engine(const ScenarioSpec& spec,
   NetRunStats stats;
   Json dump_trials = Json::array();
 
-  ParallelObserver* const progress = parallel_observer();
-  if (progress != nullptr) progress->on_batch(spec.run.trials);
+  const std::vector<StreamVariant> variants = {
+      {std::string(to_string(base.stream.scheme)), base.stream.scheme,
+       base.stream.scheduling}};
+  result.stream = run_variant_trials<StreamOutcome>(
+      spec, control, variants,
+      [&](StreamOutcome& outcome, std::size_t, std::uint64_t seed,
+          std::uint32_t t) {
+        const net::NetTrialResult r =
+            net::run_net_trial(base, *new_channel(spec), seed,
+                               /*object_id=*/t);
+        const StreamTrialResult& sr = r.stream;
+        outcome.add(sr);
 
-  StreamOutcome outcome;
-  outcome.variant = {std::string(to_string(base.stream.scheme)),
-                     base.stream.scheme, base.stream.scheduling};
-  for (std::uint32_t t = 0; t < spec.run.trials; ++t) {
-    if (interrupt::interrupted()) break;
-    const obs::TrialScope trial_scope(t);
-    const watchdog::TrialGuard deadline(control.trial_timeout_ms);
-    const std::uint64_t seed = derive_seed(spec.run.seed, {0, t});
-    const auto channel =
-        registry().make_channel(spec.channel.model, {pt.p, pt.q});
-    const net::NetTrialResult r =
-        net::run_net_trial(base, *channel, seed, /*object_id=*/t);
+        stats.datagrams_sent += r.datagrams_sent;
+        stats.datagrams_dropped += r.datagrams_dropped;
+        stats.bytes_sent += r.bytes_sent;
+        stats.sources_verified += r.sources_verified;
+        stats.payload_mismatches += r.payload_mismatches;
+        stats.frames_rejected += r.frames_rejected;
+        stats.reports_received += r.reports_received;
+        stats.estimate = r.estimate;
 
-    const StreamTrialResult& sr = r.stream;
-    outcome.add(sr);
+        if (spec.net.parity) {
+          // The twin consumes the exact channel substream the wire run
+          // drew (fresh model, same seed), so every field must match.
+          const StreamTrialResult sim =
+              run_stream_trial(base.stream, *new_channel(spec), seed);
+          ++stats.parity_trials;
+          const bool equal = sim.delays == sr.delays &&
+                             sim.delay.delivered == sr.delay.delivered &&
+                             sim.residual.lost == sr.residual.lost &&
+                             sim.packets_sent == sr.packets_sent &&
+                             sim.packets_received == sr.packets_received &&
+                             sim.all_delivered == sr.all_delivered;
+          if (!equal) ++stats.parity_failures;
+        }
 
-    stats.datagrams_sent += r.datagrams_sent;
-    stats.datagrams_dropped += r.datagrams_dropped;
-    stats.bytes_sent += r.bytes_sent;
-    stats.sources_verified += r.sources_verified;
-    stats.payload_mismatches += r.payload_mismatches;
-    stats.frames_rejected += r.frames_rejected;
-    stats.reports_received += r.reports_received;
-    stats.estimate = r.estimate;
-
-    if (spec.net.parity) {
-      // The twin consumes the exact channel substream the wire run drew
-      // (fresh model, same seed), so every field must match exactly.
-      const auto twin =
-          registry().make_channel(spec.channel.model, {pt.p, pt.q});
-      const StreamTrialResult sim =
-          run_stream_trial(base.stream, *twin, seed);
-      ++stats.parity_trials;
-      const bool equal = sim.delays == sr.delays &&
-                         sim.delay.delivered == sr.delay.delivered &&
-                         sim.residual.lost == sr.residual.lost &&
-                         sim.packets_sent == sr.packets_sent &&
-                         sim.packets_received == sr.packets_received &&
-                         sim.all_delivered == sr.all_delivered;
-      if (!equal) ++stats.parity_failures;
-    }
-
-    if (!spec.net.dump.empty()) {
-      Json entry = Json::object();
-      entry.set("trial", Json::integer(t));
-      entry.set("seed", Json::integer(seed));
-      entry.set("datagrams_sent", Json::integer(r.datagrams_sent));
-      entry.set("datagrams_dropped", Json::integer(r.datagrams_dropped));
-      entry.set("bytes_sent", Json::integer(r.bytes_sent));
-      entry.set("sources_verified", Json::integer(r.sources_verified));
-      entry.set("payload_mismatches", Json::integer(r.payload_mismatches));
-      entry.set("frames_rejected", Json::integer(r.frames_rejected));
-      entry.set("reports_received", Json::integer(r.reports_received));
-      entry.set("residual_lost", Json::integer(sr.residual.lost));
-      entry.set("all_delivered", Json(sr.all_delivered));
-      dump_trials.push_back(std::move(entry));
-    }
-    if (progress != nullptr) progress->on_item_done();
-  }
-  std::sort(outcome.delays.begin(), outcome.delays.end());
-  result.stream.push_back(std::move(outcome));
+        if (!spec.net.dump.empty()) {
+          Json entry = Json::object();
+          entry.set("trial", Json::integer(t));
+          entry.set("seed", Json::integer(seed));
+          entry.set("datagrams_sent", Json::integer(r.datagrams_sent));
+          entry.set("datagrams_dropped", Json::integer(r.datagrams_dropped));
+          entry.set("bytes_sent", Json::integer(r.bytes_sent));
+          entry.set("sources_verified", Json::integer(r.sources_verified));
+          entry.set("payload_mismatches",
+                    Json::integer(r.payload_mismatches));
+          entry.set("frames_rejected", Json::integer(r.frames_rejected));
+          entry.set("reports_received", Json::integer(r.reports_received));
+          entry.set("residual_lost", Json::integer(sr.residual.lost));
+          entry.set("all_delivered", Json(sr.all_delivered));
+          dump_trials.push_back(std::move(entry));
+        }
+      });
   result.net = stats;
-
-  if (result.stream.front().trials > 0)
+  if (!result.stream.empty())
     fill_delay_summary(result.summary, result.stream.front(),
                        base.stream.source_count);
 
@@ -402,8 +428,6 @@ ScenarioResult run_net_engine(const ScenarioSpec& spec,
   return result;
 }
 
-// --------------------------------------------------------------- mpath
-
 std::vector<MpathVariant> mpath_variants(const ScenarioSpec& spec) {
   if (spec.paths.scheduler.empty()) return MpathSweepConfig::default_variants();
   const PathScheduling mode = registry().path_scheduler(spec.paths.scheduler);
@@ -413,14 +437,7 @@ std::vector<MpathVariant> mpath_variants(const ScenarioSpec& spec) {
 ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
                                 const RunControl& control) {
   check_single_point_spec(spec);
-  ScenarioResult result;
-  result.engine = spec.engine;
-  const ChannelPoint pt = spec.channel.point();
-  result.p = pt.p;
-  result.q = pt.q;
-  result.trials = spec.run.trials;
-  result.seed = spec.run.seed;
-
+  ScenarioResult result = result_header(spec);
   MpathTrialConfig base = to_mpath_config(spec);
   if (base.paths.empty())
     throw std::invalid_argument("mpath scenario needs at least one path");
@@ -431,16 +448,11 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
     cfg.validate();
   }
 
-  // One progress tick per trial, warm-up probes included, announced up
-  // front so the ETA has a denominator.
-  ParallelObserver* const progress = parallel_observer();
-  if (progress != nullptr)
-    progress->on_batch(variants.size() * spec.run.trials +
-                       (spec.adapt.enabled ? spec.adapt.warmup : 0));
-
   if (spec.adapt.enabled) {
     // Warm up a PathAdapter on round-robin probe trials (every path sees
     // traffic), then let src/adapt/ pick repair weights and the window.
+    ParallelObserver* const progress = parallel_observer();
+    if (progress != nullptr) progress->on_batch(spec.adapt.warmup);
     PathAdapter adapter(base.paths.size());
     MpathTrialConfig probe = base;
     probe.scheduler = PathScheduling::kRoundRobin;
@@ -463,59 +475,15 @@ ScenarioResult run_mpath_engine(const ScenarioSpec& spec,
     result.mpath_warmup = spec.adapt.warmup;
   }
 
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    if (interrupt::interrupted()) break;
-    MpathOutcome outcome;
-    outcome.variant = variants[v];
-    outcome.delays.reserve(std::size_t{spec.run.trials} *
-                           base.stream.source_count);
-    MpathTrialConfig cfg = base;
-    cfg.scheduler = variants[v].scheduler;
-    for (std::uint32_t t = 0; t < spec.run.trials; ++t) {
-      if (interrupt::interrupted()) break;
-      const obs::TrialScope trial_scope(
-          static_cast<std::uint64_t>(v) * spec.run.trials + t);
-      const watchdog::TrialGuard deadline(control.trial_timeout_ms);
-      const MpathTrialResult r =
-          run_mpath_trial(cfg, derive_seed(spec.run.seed, {v, t}));
-      outcome.delays.insert(outcome.delays.end(), r.stream.delays.begin(),
-                            r.stream.delays.end());
-      outcome.delivered += r.stream.delay.delivered;
-      outcome.lost += r.stream.residual.lost;
-      outcome.residual_runs += r.stream.residual.runs;
-      outcome.residual_max_run =
-          std::max(outcome.residual_max_run, r.stream.residual.max_run_length);
-      const auto delivered = static_cast<double>(r.stream.delay.delivered);
-      outcome.delay_sum += r.stream.delay.mean * delivered;
-      outcome.hol_sum += r.stream.delay.mean_hol * delivered;
-      outcome.reordered_fraction_sum += r.reordered_fraction;
-      outcome.overhead_actual_sum += r.stream.overhead_actual;
-      outcome.packets_sent += r.stream.packets_sent;
-      outcome.packets_received += r.stream.packets_received;
-      if (outcome.paths.empty()) {
-        outcome.paths = r.paths;
-      } else {
-        for (std::size_t i = 0; i < r.paths.size(); ++i) {
-          outcome.paths[i].sent += r.paths[i].sent;
-          outcome.paths[i].lost += r.paths[i].lost;
-          outcome.paths[i].mean_queue_wait += r.paths[i].mean_queue_wait;
-          outcome.paths[i].mean_transit += r.paths[i].mean_transit;
-        }
-      }
-      ++outcome.trials;
-      if (progress != nullptr) progress->on_item_done();
-    }
-    // The per-path means were summed per trial; normalise.
-    for (PathStats& path : outcome.paths) {
-      path.mean_queue_wait /= static_cast<double>(outcome.trials);
-      path.mean_transit /= static_cast<double>(outcome.trials);
-    }
-    std::sort(outcome.delays.begin(), outcome.delays.end());
-    result.mpath.push_back(std::move(outcome));
-  }
+  // The variant configs take the post-adaptation base.
+  std::vector<MpathTrialConfig> configs(variants.size(), base);
+  for (std::size_t v = 0; v < variants.size(); ++v)
+    configs[v].scheduler = variants[v].scheduler;
+  result.mpath = run_variant_trials<MpathOutcome>(
+      spec, control, variants,
+      [&](MpathOutcome& outcome, std::size_t v, std::uint64_t seed,
+          std::uint32_t) { outcome.add(run_mpath_trial(configs[v], seed)); });
   result.mpath_base = std::move(base);
-
-  // See run_stream_engine: an interrupt can leave no completed variant.
   if (!result.mpath.empty())
     fill_delay_summary(result.summary, result.mpath.front(),
                        result.mpath_base->stream.source_count);
@@ -537,13 +505,7 @@ std::vector<std::pair<double, double>> adaptive_points(
 }
 
 ScenarioResult run_adaptive_engine(const ScenarioSpec& spec) {
-  ScenarioResult result;
-  result.engine = spec.engine;
-  const ChannelPoint pt = spec.channel.point();
-  result.p = pt.p;
-  result.q = pt.q;
-  result.trials = spec.run.trials;
-  result.seed = spec.run.seed;
+  ScenarioResult result = result_header(spec);
 
   AdaptiveCompareConfig cfg = to_adaptive_config(spec);
   cfg.validate();
@@ -584,23 +546,14 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 
 ScenarioResult run_scenario(const ScenarioSpec& spec,
                             const RunControl& control) {
-  spec.validate();
-  validate_control(spec, control, /*sweeping=*/false);
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::string started_at =
-      obs::iso8601_utc(std::chrono::system_clock::now());
-  obs::Session session(spec.obs.config());
-  ScenarioResult result = [&] {
+  return observed_run<ScenarioResult>(spec, control, /*sweeping=*/false, [&] {
     if (spec.engine == "grid") return run_grid_engine(spec, control);
     if (spec.engine == "stream") return run_stream_engine(spec, control);
     if (spec.engine == "mpath") return run_mpath_engine(spec, control);
     if (spec.engine == "adaptive") return run_adaptive_engine(spec);
     if (spec.engine == "net") return run_net_engine(spec, control);
     throw std::invalid_argument("spec: unknown engine '" + spec.engine + "'");
-  }();
-  finish_observability(spec, session, t0, started_at, result.manifest,
-                       result.obs);
-  return result;
+  });
 }
 
 ScenarioSweepResult run_scenario_sweep(const ScenarioSpec& spec) {
@@ -609,16 +562,9 @@ ScenarioSweepResult run_scenario_sweep(const ScenarioSpec& spec) {
 
 ScenarioSweepResult run_scenario_sweep(const ScenarioSpec& spec,
                                        const RunControl& control) {
-  spec.validate();
-  validate_control(spec, control, /*sweeping=*/true);
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::string started_at =
-      obs::iso8601_utc(std::chrono::system_clock::now());
-  obs::Session session(spec.obs.config());
-  ScenarioSweepResult result = run_scenario_sweep_engines(spec, control);
-  finish_observability(spec, session, t0, started_at, result.manifest,
-                       result.obs);
-  return result;
+  return observed_run<ScenarioSweepResult>(
+      spec, control, /*sweeping=*/true,
+      [&] { return run_scenario_sweep_engines(spec, control); });
 }
 
 namespace {

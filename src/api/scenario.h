@@ -201,11 +201,12 @@ struct ScenarioSpec {
 
 // ------------------------------------------------------------- result
 
-/// Merged per-variant outcome of a streaming scenario over all trials.
-/// Transport/HOL sums are weighted by each trial's delivered count so the
-/// documented identity mean == mean_transport + mean_hol survives merging.
-struct StreamOutcome {
-  StreamVariant variant;
+/// The merged delay/residual aggregate of a streaming engine over all
+/// trials: stream, net and mpath fold every trial through this one
+/// accumulator.  Transport/HOL sums are weighted by each trial's
+/// delivered count so the documented identity mean == mean_transport +
+/// mean_hol survives merging.
+struct DelayOutcome {
   std::vector<double> delays;  ///< all delivered delays, sorted ascending
   std::uint64_t delivered = 0;
   std::uint64_t lost = 0;
@@ -219,8 +220,10 @@ struct StreamOutcome {
   std::uint64_t packets_received = 0;
   std::uint32_t trials = 0;
 
-  /// Fold in one trial (its delays are appended; sort once at the end).
+  /// Fold in one trial (its delays are appended; finish() sorts them).
   void add(const StreamTrialResult& r);
+  /// Called once after the last trial: sorts the delays.
+  void finish();
 
   [[nodiscard]] double mean() const {
     return delays.empty() ? 0.0
@@ -239,36 +242,21 @@ struct StreamOutcome {
   }
 };
 
-/// Merged per-scheduler outcome of a multipath scenario (the multipath
-/// analogue of StreamOutcome, plus reordering and per-path aggregates).
-struct MpathOutcome {
-  MpathVariant variant;
-  std::vector<double> delays;  ///< all delivered delays, sorted ascending
-  std::uint64_t delivered = 0;
-  std::uint64_t lost = 0;
-  std::uint64_t residual_runs = 0;
-  std::uint64_t residual_max_run = 0;
-  double delay_sum = 0.0;
-  double hol_sum = 0.0;  ///< per-trial mean x delivered, summed
-  double reordered_fraction_sum = 0.0;
-  double overhead_actual_sum = 0.0;
-  std::uint64_t packets_sent = 0;
-  std::uint64_t packets_received = 0;
-  std::vector<PathStats> paths;  ///< counters summed, means averaged
-  std::uint32_t trials = 0;
+/// Merged per-variant outcome of a stream (or net) scenario.
+struct StreamOutcome : DelayOutcome {
+  StreamVariant variant;
+};
 
-  [[nodiscard]] double mean() const {
-    return delays.empty() ? 0.0
-                          : delay_sum / static_cast<double>(delays.size());
-  }
-  [[nodiscard]] double mean_hol() const {
-    return delivered ? hol_sum / static_cast<double>(delivered) : 0.0;
-  }
-  [[nodiscard]] double mean_residual_run() const {
-    return residual_runs ? static_cast<double>(lost) /
-                               static_cast<double>(residual_runs)
-                         : 0.0;
-  }
+/// Merged per-scheduler outcome of a multipath scenario: the shared
+/// delay aggregate plus reordering and per-path aggregates.
+struct MpathOutcome : DelayOutcome {
+  MpathVariant variant;
+  double reordered_fraction_sum = 0.0;
+  std::vector<PathStats> paths;  ///< counters summed, means averaged
+
+  void add(const MpathTrialResult& r);
+  /// Sorts the delays and turns the per-path mean sums into means.
+  void finish();
 };
 
 /// Aggregated wire-side counters of a net scenario (all trials), plus

@@ -385,6 +385,68 @@ TEST(ScenarioOracle, MpathEngineMatchesLegacyTrialLoop) {
   EXPECT_EQ(result.mpath[0].variant.label, "earliest-arrival");
 }
 
+/// The 1-path zero-delay multipath trial is the single-path stream trial
+/// bit for bit (MpathDegenerateTest); this pins the same oracle one layer
+/// up, through run_scenario's trial driver and the shared DelayOutcome
+/// aggregation, for every field the two engines share.
+TEST(ScenarioOracle, OnePathMpathOutcomeMatchesStreamOutcome) {
+  struct Case {
+    const char* scheme;
+    const char* scheduling;
+    const char* path_scheduler;
+  };
+  const Case cases[] = {{"sliding-window", "sequential", "round-robin"},
+                        {"block-rse", "interleaved", "split"},
+                        {"block-rse", "sequential", "earliest-arrival"},
+                        {"ldgm", "sequential", "round-robin"},
+                        {"ldgm", "interleaved", "earliest-arrival"},
+                        {"replication", "sequential", "weighted"}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.scheme) + "/" + c.scheduling + " over " +
+                 c.path_scheduler);
+    ScenarioSpec stream;
+    stream.engine = "stream";
+    stream.code.name = c.scheme;
+    stream.code.window = 48;
+    stream.code.block_k = 32;
+    stream.tx.stream = c.scheduling;
+    stream.channel.p = 0.04;
+    stream.channel.q = 0.3;
+    stream.run.sources = 600;
+    stream.run.trials = 3;
+    stream.run.seed = 2026;
+    ScenarioSpec mpath = stream;
+    mpath.engine = "mpath";
+    mpath.paths.list = {{0.0, 1.0}};
+    mpath.paths.scheduler = c.path_scheduler;
+
+    const ScenarioResult s = run_scenario(stream);
+    const ScenarioResult m = run_scenario(mpath);
+    ASSERT_EQ(s.stream.size(), 1u);
+    ASSERT_EQ(m.mpath.size(), 1u);
+    const DelayOutcome& want = s.stream[0];
+    const DelayOutcome& got = m.mpath[0];
+    EXPECT_EQ(got.delays, want.delays);
+    EXPECT_EQ(got.delivered, want.delivered);
+    EXPECT_EQ(got.lost, want.lost);
+    EXPECT_EQ(got.residual_runs, want.residual_runs);
+    EXPECT_EQ(got.residual_max_run, want.residual_max_run);
+    EXPECT_EQ(got.delay_sum, want.delay_sum);
+    EXPECT_EQ(got.transport_sum, want.transport_sum);
+    EXPECT_EQ(got.hol_sum, want.hol_sum);
+    EXPECT_EQ(got.overhead_actual_sum, want.overhead_actual_sum);
+    EXPECT_EQ(got.packets_sent, want.packets_sent);
+    EXPECT_EQ(got.packets_received, want.packets_received);
+    EXPECT_EQ(got.trials, want.trials);
+    EXPECT_EQ(got.trials, 3u);
+    EXPECT_EQ(m.mpath[0].reordered_fraction_sum, 0.0);  // one FIFO path
+    EXPECT_EQ(m.summary.delay_mean, s.summary.delay_mean);
+    EXPECT_EQ(m.summary.delay_p99, s.summary.delay_p99);
+    EXPECT_EQ(m.summary.lost_fraction, s.summary.lost_fraction);
+    EXPECT_EQ(m.summary.sent_ratio, s.summary.sent_ratio);
+  }
+}
+
 TEST(ScenarioOracle, AdaptiveEngineMatchesRunAdaptiveCompare) {
   ScenarioSpec spec;
   spec.engine = "adaptive";

@@ -4,9 +4,51 @@
 # the new scenario-API (src/api/), adaptive (src/adapt/), streaming
 # (src/stream/), multipath (src/mpath/) and net (src/net/) subsystems via
 # CMake source properties; everything else builds with -Wall -Wextra.
+#
+#   tools/ci.sh          every stage below, sanitizer builds last
+#   tools/ci.sh gates    every stage except the sanitizer builds
+#   tools/ci.sh asan     only the ASan+UBSan build and its full suite
+#   tools/ci.sh tsan     only the TSan build, its full suite and a
+#                        threaded collector-on sweep
 set -eu
 
+stage=${1:-all}
+case "$stage" in
+  all|gates|asan|tsan) ;;
+  *) echo "usage: tools/ci.sh [all|gates|asan|tsan]" >&2; exit 2 ;;
+esac
+
+# Sanitizer stages: release builds index the structure-only hot paths
+# (peeling decoder, grid trackers, trial loop, channel draw) without range
+# checks; the sanitizer builds compile the hot-path checks in
+# (util/check.h) and run the whole ctest suite.
+sanitize_asan() {
+  # ASan + UBSan, every UBSan finding fatal.
+  cmake -S . -B build-asan -DFECSCHED_SANITIZE="address;undefined" \
+    -DFECSCHED_BUILD_BENCHES=OFF -DFECSCHED_BUILD_EXAMPLES=OFF \
+    -DFECSCHED_BUILD_TOOLS=OFF
+  cmake --build build-asan -j
+  (cd build-asan && ctest --output-on-failure --no-tests=error -j)
+  echo "sanitizer gate: full suite clean under ASan+UBSan"
+}
+sanitize_tsan() {
+  # TSan: the full suite, then one threaded sweep with a collector armed
+  # (threads = 0: one worker per hardware thread, metrics merged across
+  # workers).
+  cmake -S . -B build-tsan -DFECSCHED_SANITIZE=thread \
+    -DFECSCHED_BUILD_BENCHES=OFF -DFECSCHED_BUILD_EXAMPLES=OFF
+  cmake --build build-tsan -j
+  (cd build-tsan && ctest --output-on-failure --no-tests=error -j)
+  (cd build-tsan && ./fecsched_cli run --spec=../scenarios/paper_fig8.json \
+    --metrics > /dev/null)
+  echo "sanitizer gate: full suite and threaded metrics sweep clean under TSan"
+}
+
 cd "$(dirname "$0")/.."
+if [ "$stage" = asan ] || [ "$stage" = tsan ]; then
+  "sanitize_$stage"
+  exit 0
+fi
 cmake -B build -S .
 cmake --build build -j
 cd build && ctest --output-on-failure -j
@@ -69,6 +111,16 @@ FECSCHED_GF_BACKEND=scalar ./fecsched_cli stream --p=0.02 --q=0.4 --sources=800 
   | cmp - ../tools/pinned/stream_point.txt
 FECSCHED_GF_BACKEND=scalar ./fecsched_cli mpath --p=0.02 --q=0.4 --sources=600 --trials=2 \
   | cmp - ../tools/pinned/mpath_point.txt
+# ...and one net point over the in-process memory transport (the wire
+# carries codec output, so the payload decoders run on either backend).
+for backend in "" scalar; do
+  FECSCHED_GF_BACKEND=$backend ./fecsched_cli net --transport=memory \
+    --p=0.02 --q=0.4 --sources=400 --trials=2 --report-interval=100 \
+    | cmp - ../tools/pinned/net_point.txt
+  FECSCHED_GF_BACKEND=$backend ./fecsched_cli net --transport=memory \
+    --p=0.02 --q=0.4 --sources=400 --trials=2 --report-interval=100 --json \
+    | cmp - ../tools/pinned/net_point.json
+done
 # 4. the grid engine for every code family (RSE, replication, LDGM
 #    identity / staircase / triangle, triangle with the Gaussian-elimination
 #    fallback) x all six Tx models at reduced scale (tools/grid_pins.cc),
@@ -330,6 +382,17 @@ fi
 if FECSCHED_FAULT=no.such.point:1 ./fecsched_cli list > /dev/null 2>&1; then
   echo "BUG: malformed FECSCHED_FAULT did not abort"; exit 1
 fi
+# 7. numeric flags parse strictly: a value with trailing garbage, or one
+#    that does not fit its destination, is a usage error (exit 2), never
+#    silently truncated.
+for args in "sweep --k=4294967496 --dump-spec" "stream --sources=12abc" \
+    "stream --p=0.5x"; do
+  rc=0
+  ./fecsched_cli $args > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "BUG: '$args' exited $rc, want 2"; exit 1
+  fi
+done
 echo "robustness gate: kill-resume bit-identical on both backends, SIGINT drains, torn artifacts diagnosed"
 
 # Net gate (src/net/, -Werror via CMake — README "Real transport"):
@@ -388,16 +451,7 @@ rm -f BENCH_net_ledger.jsonl
 grep -q '"kind":"bench","label":"bench_packetize"' BENCH_net_ledger.jsonl
 echo "net gate: wire round-trips fuzz-clean, loopback matches simulation on both backends"
 
-# Sanitizer gate: the structure-only hot paths (peeling decoder, grid
-# trackers, trial loop, channel draw) index without range checks in
-# release builds; an ASan + UBSan build (every UBSan finding fatal) with
-# the hot-path checks compiled in (util/check.h) runs their suites.
+if [ "$stage" = gates ]; then exit 0; fi
 cd ..
-cmake -S . -B build-asan -DFECSCHED_SANITIZE="address;undefined" \
-  -DFECSCHED_BUILD_BENCHES=OFF -DFECSCHED_BUILD_EXAMPLES=OFF \
-  -DFECSCHED_BUILD_TOOLS=OFF
-cmake --build build-asan -j --target peeling_test channel_test \
-  trial_grid_test broadcast_memory_test experiment_test
-(cd build-asan && ctest --output-on-failure --no-tests=error \
-  -R 'Peeling|Gilbert|PerfectChannel|NStateMarkov|TraceModel|Analytic|RunTrial|RunGrid|GridSpec|Replication|Broadcast|MemoryMetric|Experiment|TxModel|RxModel|LosslessSequentialSource')
-echo "sanitizer gate: tracker, peeling, trial-grid and channel suites clean under ASan+UBSan"
+sanitize_asan
+sanitize_tsan

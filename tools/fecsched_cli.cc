@@ -111,11 +111,12 @@
 //       Print the library version.
 //
 // Every experiment subcommand also accepts --dump-spec (print the
-// equivalent scenario JSON instead of running).  Unknown flags fail with
-// exit status 2 naming the flag.
+// equivalent scenario JSON instead of running).  Unknown flags, and
+// numeric values that do not parse completely or do not fit their field,
+// fail with exit status 2 naming the flag.
 //
 // Observability (src/obs/): every engine subcommand (sweep, adapt,
-// stream, mpath, run) accepts
+// stream, net, mpath, run) accepts
 //   --metrics              collect engine counters/gauges/histograms
 //   --profile              time engine phases (encode, channel draw,
 //                          schedule, decode, matrix inversion,
@@ -164,9 +165,11 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <map>
 #include <set>
@@ -192,6 +195,24 @@ namespace {
 
 using namespace fecsched;
 
+/// A flag's value as T: an unsigned count (std::uint32_t, std::uint64_t)
+/// or a double.  A value that does not parse completely, or does not fit
+/// T, is a usage error naming the flag (std::invalid_argument; exit 2).
+template <class T>
+T parse_flag_value(const std::string& key, const std::string& text) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc{} || stop != end)
+    throw std::invalid_argument(
+        "--" + key + "=" + text + ": not " +
+        (std::is_floating_point_v<T> ? std::string("a number")
+                                     : "an unsigned " +
+                                           std::to_string(8 * sizeof(T)) +
+                                           "-bit integer"));
+  return value;
+}
+
 struct Args {
   std::vector<std::pair<std::string, std::string>> kv;
 
@@ -207,14 +228,17 @@ struct Args {
       if (k == key) out.push_back(v);
     return out;
   }
-  [[nodiscard]] double number(const std::string& key, double fallback) const {
+  template <class T>
+  [[nodiscard]] T value(const std::string& key, T fallback) const {
     const auto v = get(key);
-    return v ? std::stod(*v) : fallback;
+    return v ? parse_flag_value<T>(key, *v) : fallback;
   }
-  [[nodiscard]] std::uint64_t integer(const std::string& key,
-                                      std::uint64_t fallback) const {
-    const auto v = get(key);
-    return v ? std::stoull(*v) : fallback;
+  template <class T>
+  [[nodiscard]] std::vector<T> values(const std::string& key) const {
+    std::vector<T> out;
+    for (const std::string& v : get_all(key))
+      out.push_back(parse_flag_value<T>(key, v));
+    return out;
   }
 };
 
@@ -260,21 +284,6 @@ bool maybe_dump_spec(const Args& args, const api::ScenarioSpec& spec) {
 
 // ------------------------------------------------- spec builders
 
-/// Channel flags shared by the engine subcommands.  Either explicit
-/// (p, q) or the recommendation-space (p_global, burst) coordinates;
-/// `default_*` carry each subcommand's historical fallbacks.
-void build_channel(const Args& args, api::ChannelSpec& channel,
-                   double default_p, double default_q, double default_pg,
-                   double default_burst) {
-  if (args.get("pglobal") || args.get("burst")) {
-    channel.p_global = args.number("pglobal", default_pg);
-    channel.mean_burst = args.number("burst", default_burst);
-  } else {
-    channel.p = args.number("p", default_p);
-    channel.q = args.number("q", default_q);
-  }
-}
-
 /// Observability flags shared by every engine subcommand (and `run`,
 /// where they override the stored spec's obs section): --metrics,
 /// --profile, --trace=<file.jsonl>, --trace-sample=N, --counters.
@@ -282,8 +291,8 @@ void apply_obs_flags(const Args& args, api::ObsSpec& obs) {
   if (args.get("metrics")) obs.metrics = true;
   if (args.get("profile")) obs.profile = true;
   if (const auto t = args.get("trace")) obs.trace = *t;
-  if (const auto n = args.get("trace-sample"))
-    obs.trace_sample = static_cast<std::uint32_t>(std::stoull(*n));
+  obs.trace_sample =
+      args.value<std::uint32_t>("trace-sample", obs.trace_sample);
   if (args.get("counters")) obs.counters = true;
 }
 
@@ -347,8 +356,7 @@ api::RunControl parse_run_control(const Args& args) {
   control.checkpoint.resume = args.get("resume").has_value();
   if (control.checkpoint.resume && !control.checkpoint.enabled())
     throw std::invalid_argument("--resume requires --checkpoint=<dir>");
-  control.trial_timeout_ms =
-      static_cast<std::uint32_t>(args.integer("trial-timeout-ms", 0));
+  control.trial_timeout_ms = args.value<std::uint32_t>("trial-timeout-ms", 0);
   return control;
 }
 
@@ -395,7 +403,7 @@ void write_obs_outputs(const ObsOutputs& outputs,
 /// so stdout/JSON stay byte-identical to a run without the new flags.
 api::ScenarioResult run_scenario_with_outputs(
     const api::ScenarioSpec& spec, const ObsOutputs& outputs, bool user_obs,
-    const api::RunControl& control = {}) {
+    const api::RunControl& control) {
   std::optional<obs::ProgressMeter> meter;
   if (outputs.progress) {
     obs::ProgressOptions popt;
@@ -420,79 +428,68 @@ api::ScenarioSpec build_sweep_spec(const Args& args) {
   api::ScenarioSpec spec;
   spec.engine = "grid";
   spec.code.name = args.get("code").value_or("ldgm-triangle");
-  const auto tx = args.integer("tx", 4);
+  const auto tx = args.value<std::uint32_t>("tx", 4);
   if (tx < 1 || tx > 6) throw std::invalid_argument("--tx must be 1..6");
   spec.tx.model = "tx" + std::to_string(tx);
-  spec.code.ratio = args.number("ratio", 2.5);
-  spec.code.k = static_cast<std::uint32_t>(args.integer("k", 4000));
-  spec.run.trials = static_cast<std::uint32_t>(args.integer("trials", 30));
-  spec.run.seed = args.integer("seed", 0x5eedf00dULL);
+  spec.code.ratio = args.value("ratio", 2.5);
+  spec.code.k = args.value<std::uint32_t>("k", 4000);
+  spec.run.trials = args.value<std::uint32_t>("trials", 30);
+  spec.run.seed = args.value<std::uint64_t>("seed", 0x5eedf00dULL);
   spec.sweep.grid = "paper";
-  apply_obs_flags(args, spec.obs);
+  return spec;
+}
+
+/// The flags the stream, net and mpath commands share.  The channel is
+/// either explicit (p, q) or the recommendation-space (p_global, burst)
+/// coordinates; `trials`, `seed` and `burst` are each command's
+/// historical defaults.
+api::ScenarioSpec build_streaming_spec(const Args& args, const char* engine,
+                                       std::uint32_t trials,
+                                       std::uint64_t seed, double burst) {
+  api::ScenarioSpec spec;
+  spec.engine = engine;
+  if (args.get("pglobal") || args.get("burst")) {
+    spec.channel.p_global = args.value("pglobal", 0.02);
+    spec.channel.mean_burst = args.value("burst", burst);
+  } else {
+    spec.channel.p = args.value("p", 0.01);
+    spec.channel.q = args.value("q", 0.5);
+  }
+  spec.run.sources = args.value<std::uint32_t>("sources", 2000);
+  spec.code.overhead = args.value("overhead", 0.25);
+  spec.code.window = args.value<std::uint32_t>("window", 64);
+  spec.code.block_k = args.value<std::uint32_t>("blockk", 64);
+  spec.run.trials = args.value<std::uint32_t>("trials", trials);
+  spec.run.seed = args.value<std::uint64_t>("seed", seed);
+  if (const auto s = args.get("sched")) spec.tx.stream = *s;
+  if (const auto s = args.get("scheme")) spec.code.name = *s;
   return spec;
 }
 
 api::ScenarioSpec build_stream_spec(const Args& args) {
-  api::ScenarioSpec spec;
-  spec.engine = "stream";
-  build_channel(args, spec.channel, 0.01, 0.5, 0.02, 1.0);
-  spec.run.sources = static_cast<std::uint32_t>(args.integer("sources", 2000));
-  spec.code.overhead = args.number("overhead", 0.25);
-  spec.code.window = static_cast<std::uint32_t>(args.integer("window", 64));
-  spec.code.block_k = static_cast<std::uint32_t>(args.integer("blockk", 64));
-  spec.run.trials = static_cast<std::uint32_t>(args.integer("trials", 8));
-  spec.run.seed = args.integer("seed", 0x57e4a9edULL);
-  if (const auto s = args.get("sched")) spec.tx.stream = *s;
-  if (const auto s = args.get("scheme")) spec.code.name = *s;
-  apply_obs_flags(args, spec.obs);
-  return spec;
+  return build_streaming_spec(args, "stream", 8, 0x57e4a9edULL, 1.0);
 }
 
 api::ScenarioSpec build_net_spec(const Args& args) {
-  api::ScenarioSpec spec;
-  spec.engine = "net";
-  build_channel(args, spec.channel, 0.01, 0.5, 0.02, 1.0);
-  spec.run.sources = static_cast<std::uint32_t>(args.integer("sources", 2000));
-  spec.code.overhead = args.number("overhead", 0.25);
-  spec.code.window = static_cast<std::uint32_t>(args.integer("window", 64));
-  spec.code.block_k = static_cast<std::uint32_t>(args.integer("blockk", 64));
-  spec.run.trials = static_cast<std::uint32_t>(args.integer("trials", 4));
-  spec.run.seed = args.integer("seed", 0x0e7f10adULL);
-  if (const auto s = args.get("sched")) spec.tx.stream = *s;
-  if (const auto s = args.get("scheme")) spec.code.name = *s;
+  api::ScenarioSpec spec =
+      build_streaming_spec(args, "net", 4, 0x0e7f10adULL, 1.0);
   if (const auto s = args.get("transport")) spec.net.transport = *s;
-  spec.net.payload_bytes =
-      static_cast<std::uint32_t>(args.integer("payload-bytes", 64));
-  spec.net.report_interval =
-      static_cast<std::uint32_t>(args.integer("report-interval", 0));
+  spec.net.payload_bytes = args.value<std::uint32_t>("payload-bytes", 64);
+  spec.net.report_interval = args.value<std::uint32_t>("report-interval", 0);
   if (args.get("no-parity")) spec.net.parity = false;
   if (const auto s = args.get("net-dump")) spec.net.dump = *s;
-  apply_obs_flags(args, spec.obs);
   return spec;
 }
 
 api::ScenarioSpec build_mpath_spec(const Args& args) {
-  api::ScenarioSpec spec;
-  spec.engine = "mpath";
-  build_channel(args, spec.channel, 0.01, 0.5, 0.02, 2.0);
-  spec.run.sources = static_cast<std::uint32_t>(args.integer("sources", 2000));
-  spec.code.overhead = args.number("overhead", 0.25);
-  spec.code.window = static_cast<std::uint32_t>(args.integer("window", 64));
-  spec.code.block_k = static_cast<std::uint32_t>(args.integer("blockk", 64));
-  spec.run.trials = static_cast<std::uint32_t>(args.integer("trials", 8));
-  spec.run.seed = args.integer("seed", 0x3147a7b5ULL);
+  api::ScenarioSpec spec =
+      build_streaming_spec(args, "mpath", 8, 0x3147a7b5ULL, 2.0);
   spec.adapt.enabled = args.get("adapt").has_value();
-  spec.adapt.warmup = static_cast<std::uint32_t>(args.integer("warmup", 5));
-  if (const auto s = args.get("sched")) spec.tx.stream = *s;
-  if (const auto s = args.get("scheme")) spec.code.name = *s;
+  spec.adapt.warmup = args.value<std::uint32_t>("warmup", 5);
   if (const auto s = args.get("scheduler")) spec.paths.scheduler = *s;
-
-  std::vector<double> delays;
-  for (const auto& v : args.get_all("delay")) delays.push_back(std::stod(v));
+  std::vector<double> delays = args.values<double>("delay");
   if (delays.empty()) delays = {5.0, 45.0};
-  std::vector<double> capacities;
-  for (const auto& v : args.get_all("capacity"))
-    capacities.push_back(std::stod(v));
+  const std::vector<double> capacities = args.values<double>("capacity");
   for (std::size_t i = 0; i < delays.size(); ++i) {
     const double capacity =
         i < capacities.size()
@@ -500,30 +497,26 @@ api::ScenarioSpec build_mpath_spec(const Args& args) {
             : (capacities.empty() ? 1.0 : capacities.back());
     spec.paths.list.push_back({delays[i], capacity});
   }
-  apply_obs_flags(args, spec.obs);
   return spec;
 }
 
 api::ScenarioSpec build_adapt_spec(const Args& args) {
   api::ScenarioSpec spec;
   spec.engine = "adaptive";
-  spec.code.k = static_cast<std::uint32_t>(args.integer("k", 2000));
+  spec.code.k = args.value<std::uint32_t>("k", 2000);
   spec.adapt.enabled = true;
-  spec.adapt.objects = static_cast<std::uint32_t>(args.integer("objects", 40));
-  spec.adapt.warmup = static_cast<std::uint32_t>(args.integer("warmup", 10));
-  spec.run.seed = args.integer("seed", 0xada2c0deULL);
+  spec.adapt.objects = args.value<std::uint32_t>("objects", 40);
+  spec.adapt.warmup = args.value<std::uint32_t>("warmup", 10);
+  spec.run.seed = args.value<std::uint64_t>("seed", 0xada2c0deULL);
   if (args.get("p") || args.get("q")) {
-    spec.channel.p = args.number("p", 0.0);
-    spec.channel.q = args.number("q", 1.0);
+    spec.channel.p = args.value("p", 0.0);
+    spec.channel.q = args.value("q", 1.0);
   } else {
-    for (const auto& v : args.get_all("pglobal"))
-      spec.sweep.p_globals.push_back(std::stod(v));
-    for (const auto& v : args.get_all("burst"))
-      spec.sweep.bursts.push_back(std::stod(v));
+    spec.sweep.p_globals = args.values<double>("pglobal");
+    spec.sweep.bursts = args.values<double>("burst");
     if (spec.sweep.p_globals.empty()) spec.sweep.p_globals = {0.05, 0.1, 0.2};
     if (spec.sweep.bursts.empty()) spec.sweep.bursts = {1.0, 4.0, 10.0};
   }
-  apply_obs_flags(args, spec.obs);
   return spec;
 }
 
@@ -640,36 +633,26 @@ int print_grid_result(const Args& args, const api::ScenarioResult& result) {
   return 0;
 }
 
-int cmd_sweep(const Args& args) {
-  api::ScenarioResult result;
-  try {
-    api::ScenarioSpec spec = build_sweep_spec(args);
-    if (maybe_dump_spec(args, spec)) return 0;
-    const ObsOutputs outputs = parse_obs_outputs(args);
-    const api::RunControl control = parse_run_control(args);
-    const bool user_obs = spec.obs.enabled();
-    force_obs_collection(outputs, spec.obs);
-    result = run_scenario_with_outputs(spec, outputs, user_obs, control);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "sweep: %s\n", e.what());
-    return 2;
-  }
-  if (interrupt::interrupted()) return finish_interrupted("sweep");
-  return print_grid_result(args, result);
-}
-
 // ------------------------------------------- planning subcommands
 
+/// "p=P q=Q (p_global=G, mean burst B)", as every channel line prints it.
+std::string channel_text(double p, double q) {
+  char text[128];
+  std::snprintf(text, sizeof text,
+                "p=%.4f q=%.4f (p_global=%.4f, mean burst %.2f)", p, q,
+                global_loss_probability(p, q), q > 0 ? 1.0 / q : 0.0);
+  return text;
+}
+
 int cmd_plan(const Args& args) {
-  const double p = args.number("p", 0.0);
-  const double q = args.number("q", 1.0);
+  const double p = args.value("p", 0.0);
+  const double q = args.value("q", 1.0);
   PlannerConfig cfg;
-  cfg.k = static_cast<std::uint32_t>(args.integer("k", 4000));
-  cfg.trials = static_cast<std::uint32_t>(args.integer("trials", 20));
+  cfg.k = args.value<std::uint32_t>("k", 4000);
+  cfg.trials = args.value<std::uint32_t>("trials", 20);
   const Planner planner(cfg);
 
-  std::printf("channel: p=%.4f q=%.4f (p_global=%.4f, mean burst %.2f)\n\n",
-              p, q, global_loss_probability(p, q), q > 0 ? 1.0 / q : 0.0);
+  std::printf("channel: %s\n\n", channel_text(p, q).c_str());
   std::printf("%-16s %-10s %6s %14s %10s\n", "code", "tx_model", "ratio",
               "inefficiency", "reliable");
   for (const auto& e : planner.evaluate(p, q))
@@ -691,16 +674,15 @@ int cmd_plan(const Args& args) {
               std::string(to_string(best->tx)).c_str(), best->expansion_ratio,
               best->mean_inefficiency);
 
-  const auto bytes = args.integer("bytes", 0);
+  const auto bytes = args.value<std::uint64_t>("bytes", 0);
   if (bytes > 0) {
     ByteNsentRequest req;
     req.inefficiency = best->mean_inefficiency;
     req.object_bytes = bytes;
-    req.packet_payload_bytes =
-        static_cast<std::uint32_t>(args.integer("payload", 1024));
+    req.packet_payload_bytes = args.value<std::uint32_t>("payload", 1024);
     req.p = p;
     req.q = q;
-    req.tolerance_fraction = args.number("tolerance", 0.10);
+    req.tolerance_fraction = args.value("tolerance", 0.10);
     const NsentResult res = optimal_nsent_bytes(req);
     std::printf("object %llu bytes @ %llu B/packet: send n_sent=%u packets "
                 "(Eq. 3: %.0f, +%.0f%% tolerance)\n",
@@ -713,8 +695,8 @@ int cmd_plan(const Args& args) {
 
 int cmd_universal(const Args& args) {
   PlannerConfig cfg;
-  cfg.k = static_cast<std::uint32_t>(args.integer("k", 4000));
-  cfg.trials = static_cast<std::uint32_t>(args.integer("trials", 10));
+  cfg.k = args.value<std::uint32_t>("k", 4000);
+  cfg.trials = args.value<std::uint32_t>("trials", 10);
   const Planner planner(cfg);
   std::printf("ranking candidate tuples over the %zu-cell paper grid "
               "(k=%u, %u trials/cell)...\n\n",
@@ -733,10 +715,9 @@ int cmd_universal(const Args& args) {
 }
 
 int cmd_limits(const Args& args) {
-  auto ratios = args.get_all("ratio");
-  if (ratios.empty()) ratios = {"1.5", "2.5"};
-  for (const auto& rs : ratios) {
-    const double ratio = std::stod(rs);
+  std::vector<double> ratios = args.values<double>("ratio");
+  if (ratios.empty()) ratios = {1.5, 2.5};
+  for (const double ratio : ratios) {
     std::printf("# FEC expansion ratio %.2f: q_limit(p) — decoding "
                 "impossible below\n# p q_limit\n",
                 ratio);
@@ -777,9 +758,7 @@ int cmd_fit(const Args& args) {
                 for (bool e : events) l += e ? 1 : 0;
                 return static_cast<double>(l) / events.size();
               }());
-  std::printf("Gilbert fit: p=%.4f q=%.4f (p_global=%.4f, mean burst %.2f)\n",
-              fit.p, fit.q, global_loss_probability(fit.p, fit.q),
-              fit.q > 0 ? 1.0 / fit.q : 0.0);
+  std::printf("Gilbert fit: %s\n", channel_text(fit.p, fit.q).c_str());
   return 0;
 }
 
@@ -900,25 +879,71 @@ int print_adapt_result(const Args& args, const api::ScenarioResult& result) {
   return 0;
 }
 
-int cmd_adapt(const Args& args) {
-  api::ScenarioResult result;
-  try {
-    api::ScenarioSpec spec = build_adapt_spec(args);
-    if (maybe_dump_spec(args, spec)) return 0;
-    const ObsOutputs outputs = parse_obs_outputs(args);
-    const bool user_obs = spec.obs.enabled();
-    force_obs_collection(outputs, spec.obs);
-    result = run_scenario_with_outputs(spec, outputs, user_obs);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "adapt: %s\n", e.what());
-    return 2;
-  }
-  if (interrupt::interrupted()) return finish_interrupted("adapt");
-  return print_adapt_result(args, result);
+// ------------------------------------------- stream, net and mpath
+
+/// A per-trial sum averaged over the outcome's trials (0 trials: the sum).
+double per_trial(const api::DelayOutcome& o, double sum) {
+  return sum / (o.trials ? static_cast<double>(o.trials) : 1.0);
 }
 
-// ------------------------------------------------------------- stream
+double lost_percent(const api::DelayOutcome& o) {
+  return 100.0 * static_cast<double>(o.lost) /
+         static_cast<double>(o.delivered + o.lost);
+}
 
+/// A delay table row's label and its mean/p95/p99/max columns.
+void print_delay_columns(int width, const std::string& label,
+                         const api::DelayOutcome& o) {
+  std::printf("%-*s %9.2f %9.2f %9.2f %9.2f", width, label.c_str(), o.mean(),
+              sorted_percentile(o.delays, 0.95),
+              sorted_percentile(o.delays, 0.99),
+              o.delays.empty() ? 0.0 : o.delays.back());
+}
+
+/// The scheme+scheduling delay table of the stream and net commands.
+void print_stream_table(const std::vector<api::StreamOutcome>& outcomes) {
+  std::printf("%-26s %9s %9s %9s %9s %10s %8s\n", "scheme+scheduling", "mean",
+              "p95", "p99", "max", "resid-run", "lost%");
+  for (const api::StreamOutcome& o : outcomes) {
+    print_delay_columns(26,
+                        std::string(to_string(o.variant.scheme)) + "/" +
+                            std::string(to_string(o.variant.scheduling)),
+                        o);
+    std::printf(" %10.2f %7.3f%%\n", o.mean_residual_run(), lost_percent(o));
+  }
+}
+
+/// `{"sources":N,"trials":T,"seed":S,"p":P,"q":Q,"p_global":G`: the head
+/// of the stream, net and mpath JSON documents.
+void write_point_json(std::ostream& os, std::uint32_t sources,
+                      const api::ScenarioResult& result) {
+  const double p = result.p, q = result.q;
+  os << "{\"sources\":" << sources << ",\"trials\":" << result.trials
+     << ",\"seed\":" << result.seed << ",\"p\":" << format_fixed(p, 6)
+     << ",\"q\":" << format_fixed(q, 6) << ",\"p_global\":"
+     << format_fixed(global_loss_probability(p, q), 4);
+}
+
+/// `,"delay":{"delivered":..,"lost":..,"mean":..,"p50":..,"p95":..,
+/// "p99":..,"max":..` — left open for each engine's extra delay fields.
+void write_delay_json(std::ostream& os, const api::DelayOutcome& o) {
+  os << ",\"delay\":{\"delivered\":" << o.delivered << ",\"lost\":" << o.lost
+     << ",\"mean\":" << format_fixed(o.mean(), 4) << ",\"p50\":"
+     << format_fixed(sorted_percentile(o.delays, 0.50), 4) << ",\"p95\":"
+     << format_fixed(sorted_percentile(o.delays, 0.95), 4) << ",\"p99\":"
+     << format_fixed(sorted_percentile(o.delays, 0.99), 4) << ",\"max\":"
+     << format_fixed(o.delays.empty() ? 0.0 : o.delays.back(), 4);
+}
+
+void write_residual_json(std::ostream& os, const api::DelayOutcome& o) {
+  os << ",\"residual\":{\"lost\":" << o.lost << ",\"runs\":"
+     << o.residual_runs << ",\"mean_run_length\":"
+     << format_fixed(o.mean_residual_run(), 2)
+     << ",\"max_run_length\":" << o.residual_max_run << "}";
+}
+
+/// The full merged delay distribution, binned to integer slots; the
+/// trailing '}' closes the enclosing object.
 void write_histogram(std::ostream& os, const std::vector<double>& delays) {
   std::map<long long, std::uint64_t> histogram;
   for (double d : delays) ++histogram[std::llround(d)];
@@ -934,35 +959,23 @@ void write_histogram(std::ostream& os, const std::vector<double>& delays) {
 
 void write_stream_json(std::ostream& os, const api::ScenarioResult& result) {
   const StreamTrialConfig& base = *result.stream_base;
-  const double p = result.p, q = result.q;
-  os << "{\"sources\":" << base.source_count << ",\"trials\":"
-     << result.trials << ",\"seed\":" << result.seed << ",\"p\":"
-     << format_fixed(p, 6) << ",\"q\":" << format_fixed(q, 6)
-     << ",\"p_global\":" << format_fixed(global_loss_probability(p, q), 4)
-     << ",\"mean_burst\":" << format_fixed(q > 0 ? 1.0 / q : 0.0, 2)
+  write_point_json(os, base.source_count, result);
+  os << ",\"mean_burst\":"
+     << format_fixed(result.q > 0 ? 1.0 / result.q : 0.0, 2)
      << ",\"overhead\":" << format_fixed(base.overhead, 4) << ",\"window\":"
      << base.window << ",\"block_k\":" << base.block_k << ",\"variants\":[";
   bool first = true;
   for (const api::StreamOutcome& o : result.stream) {
     if (!first) os << ",";
     first = false;
-    const double t = o.trials ? static_cast<double>(o.trials) : 1.0;
     os << "\n{\"scheme\":\"" << json_escape(to_string(o.variant.scheme))
        << "\",\"scheduling\":\"" << json_escape(to_string(o.variant.scheduling))
-       << "\",\"overhead_actual\":" << format_fixed(o.overhead_actual_sum / t, 4)
-       << ",\"delay\":{\"delivered\":" << o.delivered << ",\"lost\":" << o.lost
-       << ",\"mean\":" << format_fixed(o.mean(), 4) << ",\"p50\":"
-       << format_fixed(sorted_percentile(o.delays, 0.50), 4) << ",\"p95\":"
-       << format_fixed(sorted_percentile(o.delays, 0.95), 4) << ",\"p99\":"
-       << format_fixed(sorted_percentile(o.delays, 0.99), 4) << ",\"max\":"
-       << format_fixed(o.delays.empty() ? 0.0 : o.delays.back(), 4)
-       << ",\"mean_transport\":" << format_fixed(o.mean_transport(), 4)
-       << ",\"mean_hol\":" << format_fixed(o.mean_hol(), 4) << "}"
-       << ",\"residual\":{\"lost\":" << o.lost << ",\"runs\":"
-       << o.residual_runs << ",\"mean_run_length\":"
-       << format_fixed(o.mean_residual_run(), 2)
-       << ",\"max_run_length\":" << o.residual_max_run << "}";
-    // The full merged delay distribution, binned to integer slots.
+       << "\",\"overhead_actual\":"
+       << format_fixed(per_trial(o, o.overhead_actual_sum), 4);
+    write_delay_json(os, o);
+    os << ",\"mean_transport\":" << format_fixed(o.mean_transport(), 4)
+       << ",\"mean_hol\":" << format_fixed(o.mean_hol(), 4) << "}";
+    write_residual_json(os, o);
     write_histogram(os, o.delays);
   }
   os << "\n]";
@@ -977,63 +990,24 @@ int print_stream_result(const Args& args, const api::ScenarioResult& result) {
   }
 
   const StreamTrialConfig& base = *result.stream_base;
-  const double p = result.p, q = result.q;
   std::printf("streaming: %u sources, overhead %.3f, window %u, block_k %u, "
               "%u trials\n",
               base.source_count, base.overhead, base.window, base.block_k,
               result.trials);
-  std::printf("channel: p=%.4f q=%.4f (p_global=%.4f, mean burst %.2f)\n\n",
-              p, q, global_loss_probability(p, q), q > 0 ? 1.0 / q : 0.0);
-  std::printf("%-26s %9s %9s %9s %9s %10s %8s\n", "scheme+scheduling", "mean",
-              "p95", "p99", "max", "resid-run", "lost%");
-  for (const api::StreamOutcome& o : result.stream) {
-    const std::string label = std::string(to_string(o.variant.scheme)) + "/" +
-                              std::string(to_string(o.variant.scheduling));
-    std::printf("%-26s %9.2f %9.2f %9.2f %9.2f %10.2f %7.3f%%\n",
-                label.c_str(), o.mean(), sorted_percentile(o.delays, 0.95),
-                sorted_percentile(o.delays, 0.99),
-                o.delays.empty() ? 0.0 : o.delays.back(),
-                o.mean_residual_run(),
-                100.0 * static_cast<double>(o.lost) /
-                    (static_cast<double>(o.delivered + o.lost)));
-  }
+  std::printf("channel: %s\n\n", channel_text(result.p, result.q).c_str());
+  print_stream_table(result.stream);
   std::printf("\n(delays in channel packet slots; in-order release; "
               "resid-run = mean post-FEC loss burst)\n");
   print_observability(result);
   return 0;
 }
 
-int cmd_stream(const Args& args) {
-  api::ScenarioResult result;
-  try {
-    api::ScenarioSpec spec = build_stream_spec(args);
-    if (maybe_dump_spec(args, spec)) return 0;
-    const ObsOutputs outputs = parse_obs_outputs(args);
-    const api::RunControl control = parse_run_control(args);
-    const bool user_obs = spec.obs.enabled();
-    force_obs_collection(outputs, spec.obs);
-    result = run_scenario_with_outputs(spec, outputs, user_obs, control);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "stream: %s\n", e.what());
-    return 2;
-  }
-  if (interrupt::interrupted()) return finish_interrupted("stream");
-  return print_stream_result(args, result);
-}
-
-// ---------------------------------------------------------------- net
-
 void write_net_json(std::ostream& os, const api::ScenarioResult& result) {
   const net::NetTrialConfig& base = *result.net_base;
   const api::NetRunStats& stats = *result.net;
   const api::StreamOutcome& o = result.stream.front();
-  const double p = result.p, q = result.q;
-  const double t = o.trials ? static_cast<double>(o.trials) : 1.0;
-  os << "{\"sources\":" << base.stream.source_count << ",\"trials\":"
-     << result.trials << ",\"seed\":" << result.seed << ",\"p\":"
-     << format_fixed(p, 6) << ",\"q\":" << format_fixed(q, 6)
-     << ",\"p_global\":" << format_fixed(global_loss_probability(p, q), 4)
-     << ",\"overhead\":" << format_fixed(base.stream.overhead, 4)
+  write_point_json(os, base.stream.source_count, result);
+  os << ",\"overhead\":" << format_fixed(base.stream.overhead, 4)
      << ",\"window\":" << base.stream.window << ",\"block_k\":"
      << base.stream.block_k << ",\"scheme\":\""
      << json_escape(to_string(base.stream.scheme)) << "\",\"scheduling\":\""
@@ -1052,17 +1026,11 @@ void write_net_json(std::ostream& os, const api::ScenarioResult& result) {
      << format_fixed(stats.estimate.p_global, 6) << ",\"mean_burst\":"
      << format_fixed(stats.estimate.mean_burst, 4) << ",\"observations\":"
      << stats.estimate.observations << "}"
-     << ",\"overhead_actual\":" << format_fixed(o.overhead_actual_sum / t, 4)
-     << ",\"delay\":{\"delivered\":" << o.delivered << ",\"lost\":" << o.lost
-     << ",\"mean\":" << format_fixed(o.mean(), 4) << ",\"p50\":"
-     << format_fixed(sorted_percentile(o.delays, 0.50), 4) << ",\"p95\":"
-     << format_fixed(sorted_percentile(o.delays, 0.95), 4) << ",\"p99\":"
-     << format_fixed(sorted_percentile(o.delays, 0.99), 4) << ",\"max\":"
-     << format_fixed(o.delays.empty() ? 0.0 : o.delays.back(), 4) << "}"
-     << ",\"residual\":{\"lost\":" << o.lost << ",\"runs\":"
-     << o.residual_runs << ",\"mean_run_length\":"
-     << format_fixed(o.mean_residual_run(), 2) << ",\"max_run_length\":"
-     << o.residual_max_run << "}";
+     << ",\"overhead_actual\":"
+     << format_fixed(per_trial(o, o.overhead_actual_sum), 4);
+  write_delay_json(os, o);
+  os << "}";
+  write_residual_json(os, o);
   write_obs_json(os, result);
   // write_histogram's trailing '}' closes the root object.
   write_histogram(os, o.delays);
@@ -1072,32 +1040,20 @@ void write_net_json(std::ostream& os, const api::ScenarioResult& result) {
 int print_net_result(const Args& args, const api::ScenarioResult& result) {
   const net::NetTrialConfig& base = *result.net_base;
   const api::NetRunStats& stats = *result.net;
-  const api::StreamOutcome& o = result.stream.front();
   if (args.get("json")) {
     write_net_json(std::cout, result);
     return 0;
   }
-  const double p = result.p, q = result.q;
   std::printf("net: %u sources over %s loopback, scheme %s/%s, overhead "
-              "%.3f, window %u, block_k %u, payload %u B, %u trials\n",
+              "%.3f, window %u, block_k %u, payload %zu B, %u trials\n",
               base.stream.source_count, base.transport.c_str(),
               std::string(to_string(base.stream.scheme)).c_str(),
               std::string(to_string(base.stream.scheduling)).c_str(),
               base.stream.overhead, base.stream.window, base.stream.block_k,
               base.payload_bytes, result.trials);
-  std::printf("channel (emulated at the sender): p=%.4f q=%.4f "
-              "(p_global=%.4f, mean burst %.2f)\n\n",
-              p, q, global_loss_probability(p, q), q > 0 ? 1.0 / q : 0.0);
-  std::printf("%-26s %9s %9s %9s %9s %10s %8s\n", "scheme+scheduling", "mean",
-              "p95", "p99", "max", "resid-run", "lost%");
-  const std::string label = std::string(to_string(o.variant.scheme)) + "/" +
-                            std::string(to_string(o.variant.scheduling));
-  std::printf("%-26s %9.2f %9.2f %9.2f %9.2f %10.2f %7.3f%%\n", label.c_str(),
-              o.mean(), sorted_percentile(o.delays, 0.95),
-              sorted_percentile(o.delays, 0.99),
-              o.delays.empty() ? 0.0 : o.delays.back(), o.mean_residual_run(),
-              100.0 * static_cast<double>(o.lost) /
-                  (static_cast<double>(o.delivered + o.lost)));
+  std::printf("channel (emulated at the sender): %s\n\n",
+              channel_text(result.p, result.q).c_str());
+  print_stream_table(result.stream);
   std::printf("\nwire: %llu datagrams sent, %llu dropped by the impairment "
               "shim, %llu bytes framed\n",
               static_cast<unsigned long long>(stats.datagrams_sent),
@@ -1106,7 +1062,7 @@ int print_net_result(const Args& args, const api::ScenarioResult& result) {
   std::printf("byte-verified payloads: %llu/%llu delivered sources match "
               "ground truth (%llu mismatches, %llu frames rejected)\n",
               static_cast<unsigned long long>(stats.sources_verified),
-              static_cast<unsigned long long>(o.delivered),
+              static_cast<unsigned long long>(result.stream.front().delivered),
               static_cast<unsigned long long>(stats.payload_mismatches),
               static_cast<unsigned long long>(stats.frames_rejected));
   if (stats.parity_trials > 0)
@@ -1127,34 +1083,11 @@ int print_net_result(const Args& args, const api::ScenarioResult& result) {
   return stats.payload_mismatches == 0 && stats.parity_failures == 0 ? 0 : 1;
 }
 
-int cmd_net(const Args& args) {
-  api::ScenarioResult result;
-  try {
-    api::ScenarioSpec spec = build_net_spec(args);
-    if (maybe_dump_spec(args, spec)) return 0;
-    const ObsOutputs outputs = parse_obs_outputs(args);
-    const api::RunControl control = parse_run_control(args);
-    const bool user_obs = spec.obs.enabled();
-    force_obs_collection(outputs, spec.obs);
-    result = run_scenario_with_outputs(spec, outputs, user_obs, control);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "net: %s\n", e.what());
-    return 2;
-  }
-  if (interrupt::interrupted()) return finish_interrupted("net");
-  return print_net_result(args, result);
-}
-
-// -------------------------------------------------------------- mpath
-
 void write_mpath_json(std::ostream& os, const api::ScenarioResult& result) {
   const MpathTrialConfig& base = *result.mpath_base;
-  const double p = result.p, q = result.q;
-  os << "{\"sources\":" << base.stream.source_count << ",\"trials\":"
-     << result.trials << ",\"seed\":" << result.seed << ",\"p\":"
-     << format_fixed(p, 6) << ",\"q\":" << format_fixed(q, 6)
-     << ",\"p_global\":" << format_fixed(global_loss_probability(p, q), 4)
-     << ",\"mean_burst\":" << format_fixed(q > 0 ? 1.0 / q : 0.0, 2)
+  write_point_json(os, base.stream.source_count, result);
+  os << ",\"mean_burst\":"
+     << format_fixed(result.q > 0 ? 1.0 / result.q : 0.0, 2)
      << ",\"overhead\":" << format_fixed(base.stream.overhead, 4)
      << ",\"window\":" << base.stream.window << ",\"scheme\":\""
      << json_escape(to_string(base.stream.scheme)) << "\",\"paths\":[";
@@ -1177,23 +1110,15 @@ void write_mpath_json(std::ostream& os, const api::ScenarioResult& result) {
   for (const api::MpathOutcome& o : result.mpath) {
     if (!first) os << ",";
     first = false;
-    const double t = o.trials ? static_cast<double>(o.trials) : 1.0;
     os << "\n{\"scheduler\":\"" << json_escape(o.variant.label)
        << "\",\"overhead_actual\":"
-       << format_fixed(o.overhead_actual_sum / t, 4)
+       << format_fixed(per_trial(o, o.overhead_actual_sum), 4)
        << ",\"reordered_fraction\":"
-       << format_fixed(o.reordered_fraction_sum / t, 4)
-       << ",\"delay\":{\"delivered\":" << o.delivered << ",\"lost\":"
-       << o.lost << ",\"mean\":" << format_fixed(o.mean(), 4) << ",\"p50\":"
-       << format_fixed(sorted_percentile(o.delays, 0.50), 4) << ",\"p95\":"
-       << format_fixed(sorted_percentile(o.delays, 0.95), 4) << ",\"p99\":"
-       << format_fixed(sorted_percentile(o.delays, 0.99), 4) << ",\"max\":"
-       << format_fixed(o.delays.empty() ? 0.0 : o.delays.back(), 4)
-       << ",\"mean_hol\":" << format_fixed(o.mean_hol(), 4) << "}"
-       << ",\"residual\":{\"lost\":" << o.lost << ",\"runs\":"
-       << o.residual_runs << ",\"mean_run_length\":"
-       << format_fixed(o.mean_residual_run(), 2) << ",\"max_run_length\":"
-       << o.residual_max_run << "},\"per_path\":[";
+       << format_fixed(per_trial(o, o.reordered_fraction_sum), 4);
+    write_delay_json(os, o);
+    os << ",\"mean_hol\":" << format_fixed(o.mean_hol(), 4) << "}";
+    write_residual_json(os, o);
+    os << ",\"per_path\":[";
     for (std::size_t i = 0; i < o.paths.size(); ++i) {
       if (i) os << ",";
       os << "{\"label\":\"" << json_escape(o.paths[i].label)
@@ -1213,7 +1138,6 @@ void write_mpath_json(std::ostream& os, const api::ScenarioResult& result) {
 
 int print_mpath_result(const Args& args, const api::ScenarioResult& result) {
   const MpathTrialConfig& base = *result.mpath_base;
-  const double p = result.p, q = result.q;
 
   // Keep stdout pure JSON under --json; the learned weights/window appear
   // in the document itself ("repair_weights", "window").
@@ -1246,24 +1170,18 @@ int print_mpath_result(const Args& args, const api::ScenarioResult& result) {
               base.stream.source_count, base.paths.size(),
               std::string(to_string(base.stream.scheme)).c_str(),
               base.stream.overhead, base.stream.window, result.trials);
-  std::printf("channel/path: p=%.4f q=%.4f (p_global=%.4f, mean burst "
-              "%.2f); delays:",
-              p, q, global_loss_probability(p, q), q > 0 ? 1.0 / q : 0.0);
+  std::printf("channel/path: %s; delays:",
+              channel_text(result.p, result.q).c_str());
   for (const PathSpec& path : base.paths)
     std::printf(" %.0f", path.delay);
   std::printf(" slots\n\n");
   std::printf("%-18s %9s %9s %9s %9s %9s %8s\n", "scheduler", "mean", "p95",
               "p99", "max", "reorder%", "lost%");
   for (const api::MpathOutcome& o : result.mpath) {
-    const double t = o.trials ? static_cast<double>(o.trials) : 1.0;
-    std::printf("%-18s %9.2f %9.2f %9.2f %9.2f %8.2f%% %7.3f%%\n",
-                o.variant.label.c_str(), o.mean(),
-                sorted_percentile(o.delays, 0.95),
-                sorted_percentile(o.delays, 0.99),
-                o.delays.empty() ? 0.0 : o.delays.back(),
-                o.reordered_fraction_sum / t * 100.0,
-                100.0 * static_cast<double>(o.lost) /
-                    static_cast<double>(o.delivered + o.lost));
+    print_delay_columns(18, o.variant.label, o);
+    std::printf(" %8.2f%% %7.3f%%\n",
+                per_trial(o, o.reordered_fraction_sum) * 100.0,
+                lost_percent(o));
     for (const auto& path : o.paths)
       std::printf("    %-14s sent %8llu  lost %6llu  queue %7.2f  "
                   "transit %7.2f\n",
@@ -1278,61 +1196,59 @@ int print_mpath_result(const Args& args, const api::ScenarioResult& result) {
   return 0;
 }
 
-int cmd_mpath(const Args& args) {
-  api::ScenarioResult result;
-  try {
-    api::ScenarioSpec spec = build_mpath_spec(args);
-    if (maybe_dump_spec(args, spec)) return 0;
-    const ObsOutputs outputs = parse_obs_outputs(args);
-    const api::RunControl control = parse_run_control(args);
-    const bool user_obs = spec.obs.enabled();
-    force_obs_collection(outputs, spec.obs);
-    result = run_scenario_with_outputs(spec, outputs, user_obs, control);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mpath: %s\n", e.what());
-    return 2;
-  }
-  if (interrupt::interrupted()) return finish_interrupted("mpath");
-  return print_mpath_result(args, result);
-}
-
 // --------------------------------------------------- run / list
 
-int cmd_run(const Args& args) {
-  api::ScenarioResult result;
-  std::string engine;
-  try {
-    const auto path = args.get("spec");
-    if (!path)
-      throw std::invalid_argument("run requires --spec=<file.json> ('-' = stdin)");
-    // --spec=- reads the document from stdin, so generators pipe straight
-    // into runs; parse errors then point at "<stdin>:line:col".
-    const bool from_stdin = *path == "-";
-    const std::string source = from_stdin ? "<stdin>" : *path;
-    const std::string text = [&] {
-      if (from_stdin)
-        return std::string(std::istreambuf_iterator<char>(std::cin),
-                           std::istreambuf_iterator<char>());
-      std::ifstream in(*path);
-      if (!in) throw std::invalid_argument("cannot open " + *path);
-      return std::string(std::istreambuf_iterator<char>(in),
+/// The `run` command's spec: the stored document (--spec=-: stdin).
+api::ScenarioSpec build_run_spec(const Args& args) {
+  const auto path = args.get("spec");
+  if (!path)
+    throw std::invalid_argument(
+        "run requires --spec=<file.json> ('-' = stdin)");
+  // --spec=- reads the document from stdin, so generators pipe straight
+  // into runs; parse errors then point at "<stdin>:line:col".
+  const bool from_stdin = *path == "-";
+  const std::string source = from_stdin ? "<stdin>" : *path;
+  const std::string text = [&] {
+    if (from_stdin)
+      return std::string(std::istreambuf_iterator<char>(std::cin),
                          std::istreambuf_iterator<char>());
-    }();
-    api::ScenarioSpec spec = [&] {
-      try {
-        return api::ScenarioSpec::from_json(text);
-      } catch (const api::JsonParseError& e) {
-        // The parser reports a byte offset; name the spot in the file the
-        // way a compiler would.
-        const auto [line, col] = api::json_line_col(text, e.offset());
-        throw std::invalid_argument(source + ":" + std::to_string(line) + ":" +
-                                    std::to_string(col) + ": " + e.what());
-      }
-    }();
+    std::ifstream in(*path);
+    if (!in) throw std::invalid_argument("cannot open " + *path);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  }();
+  try {
+    return api::ScenarioSpec::from_json(text);
+  } catch (const api::JsonParseError& e) {
+    // The parser reports a byte offset; name the spot in the file the
+    // way a compiler would.
+    const auto [line, col] = api::json_line_col(text, e.offset());
+    throw std::invalid_argument(source + ":" + std::to_string(line) + ":" +
+                                std::to_string(col) + ": " + e.what());
+  }
+}
+
+int print_result(const Args& args, const api::ScenarioResult& result) {
+  if (result.engine == "grid") return print_grid_result(args, result);
+  if (result.engine == "stream") return print_stream_result(args, result);
+  if (result.engine == "mpath") return print_mpath_result(args, result);
+  if (result.engine == "net") return print_net_result(args, result);
+  return print_adapt_result(args, result);
+}
+
+/// The one driver of every engine command: build the spec from the
+/// flags (the obs flags override a stored spec's obs section), print it
+/// instead under --dump-spec, arm the cross-run outputs and run controls,
+/// run, and print the result by engine.  Any error before the result
+/// exists is a usage error: "<cmd>: <message>", exit 2.
+int run_engine_command(const std::string& cmd, const Args& args,
+                       api::ScenarioSpec (*build)(const Args&)) {
+  api::ScenarioResult result;
+  try {
+    api::ScenarioSpec spec = build(args);
     apply_obs_flags(args, spec.obs);
-    engine = spec.engine;
     if (maybe_dump_spec(args, spec)) return 0;
-    if (args.get("json") && engine == "grid")
+    if (args.get("json") && spec.engine == "grid")
       throw std::invalid_argument(
           "--json is not supported for the grid engine (the paper table is "
           "the output)");
@@ -1342,15 +1258,11 @@ int cmd_run(const Args& args) {
     force_obs_collection(outputs, spec.obs);
     result = run_scenario_with_outputs(spec, outputs, user_obs, control);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "run: %s\n", e.what());
+    std::fprintf(stderr, "%s: %s\n", cmd.c_str(), e.what());
     return 2;
   }
-  if (interrupt::interrupted()) return finish_interrupted("run");
-  if (engine == "grid") return print_grid_result(args, result);
-  if (engine == "stream") return print_stream_result(args, result);
-  if (engine == "mpath") return print_mpath_result(args, result);
-  if (engine == "net") return print_net_result(args, result);
-  return print_adapt_result(args, result);
+  if (interrupt::interrupted()) return finish_interrupted(cmd.c_str());
+  return print_result(args, result);
 }
 
 // --------------------------------------------- history / compare
@@ -1428,10 +1340,10 @@ int cmd_compare(const Args& args) {
     const std::vector<obs::LedgerRecord> records = obs::filter_records(
         obs::compact_records(load_ledgers(args)), parse_ledger_filter(args));
     obs::CompareOptions options;
-    options.threshold = args.number("threshold", options.threshold);
-    options.min_phase_ms = args.number("min-phase-ms", options.min_phase_ms);
+    options.threshold = args.value("threshold", options.threshold);
+    options.min_phase_ms = args.value("min-phase-ms", options.min_phase_ms);
     options.min_wall_seconds =
-        args.number("min-wall", options.min_wall_seconds);
+        args.value("min-wall", options.min_wall_seconds);
     const obs::CompareReport report =
         obs::compare_records(records, options);
     for (const std::string& drift : report.drifts)
@@ -1568,63 +1480,59 @@ void usage(std::FILE* out) {
                "tools/fecsched_cli.cc for per-command flags\n");
 }
 
+/// A subcommand: engine commands name their spec builder and run through
+/// run_engine_command; the others name their handler.
 struct Command {
   const char* name;
+  api::ScenarioSpec (*build)(const Args&);
   int (*handler)(const Args&);
   std::set<std::string> allowed;
 };
 
-// Observability flags shared by the engine subcommands (`fit` keeps its
-// historical --trace=<loss file> INPUT flag and takes no obs flags).
-// FECSCHED_OBS_OUT_FLAGS are the cross-run outputs: the run ledger, the
-// live heartbeat, the profile/metrics export files and the Chrome-trace
-// timeline — none of them changes stdout.  --counters is a user obs flag
-// (its report prints), --timeline-out an output flag (stdout untouched).
-#define FECSCHED_OBS_FLAGS \
-  "metrics", "profile", "trace", "trace-sample", "counters"
-#define FECSCHED_OBS_OUT_FLAGS \
-  "ledger", "progress", "profile-out", "metrics-out", "timeline-out"
+/// Flags every engine command takes on top of its own: --dump-spec, the
+/// observability flags (`fit` keeps its historical --trace=<loss file>
+/// INPUT flag and takes none of these) and the cross-run outputs: the
+/// run ledger, the live heartbeat, the profile/metrics export files and
+/// the Chrome-trace timeline — none of them changes stdout.  --counters
+/// is a user obs flag (its report prints), --timeline-out an output flag
+/// (stdout untouched).
+const std::set<std::string> kEngineFlags = {
+    "dump-spec", "metrics", "profile", "trace", "trace-sample", "counters",
+    "ledger", "progress", "profile-out", "metrics-out", "timeline-out"};
 
 const Command kCommands[] = {
-    {"sweep", cmd_sweep,
-     {"code", "tx", "ratio", "k", "trials", "seed", "gnuplot", "dump-spec",
-      "checkpoint", "resume", "trial-timeout-ms", FECSCHED_OBS_FLAGS,
-      FECSCHED_OBS_OUT_FLAGS}},
-    {"plan", cmd_plan, {"p", "q", "k", "trials", "bytes", "payload",
-                        "tolerance"}},
-    {"universal", cmd_universal, {"k", "trials"}},
-    {"limits", cmd_limits, {"ratio"}},
-    {"fit", cmd_fit, {"trace"}},
-    {"adapt", cmd_adapt,
-     {"p", "q", "pglobal", "burst", "k", "objects", "warmup", "seed", "json",
-      "dump-spec", FECSCHED_OBS_FLAGS, FECSCHED_OBS_OUT_FLAGS}},
-    {"stream", cmd_stream,
+    {"sweep", build_sweep_spec, nullptr,
+     {"code", "tx", "ratio", "k", "trials", "seed", "gnuplot", "checkpoint",
+      "resume", "trial-timeout-ms"}},
+    {"plan", nullptr, cmd_plan,
+     {"p", "q", "k", "trials", "bytes", "payload", "tolerance"}},
+    {"universal", nullptr, cmd_universal, {"k", "trials"}},
+    {"limits", nullptr, cmd_limits, {"ratio"}},
+    {"fit", nullptr, cmd_fit, {"trace"}},
+    {"adapt", build_adapt_spec, nullptr,
+     {"p", "q", "pglobal", "burst", "k", "objects", "warmup", "seed",
+      "json"}},
+    {"stream", build_stream_spec, nullptr,
      {"p", "q", "pglobal", "burst", "scheme", "sched", "overhead", "window",
-      "blockk", "sources", "trials", "seed", "json", "dump-spec",
-      "trial-timeout-ms", FECSCHED_OBS_FLAGS, FECSCHED_OBS_OUT_FLAGS}},
-    {"net", cmd_net,
+      "blockk", "sources", "trials", "seed", "json", "trial-timeout-ms"}},
+    {"net", build_net_spec, nullptr,
      {"p", "q", "pglobal", "burst", "scheme", "sched", "overhead", "window",
       "blockk", "sources", "trials", "seed", "payload-bytes", "transport",
-      "report-interval", "no-parity", "net-dump", "json", "dump-spec",
-      "trial-timeout-ms", FECSCHED_OBS_FLAGS, FECSCHED_OBS_OUT_FLAGS}},
-    {"mpath", cmd_mpath,
+      "report-interval", "no-parity", "net-dump", "json",
+      "trial-timeout-ms"}},
+    {"mpath", build_mpath_spec, nullptr,
      {"p", "q", "pglobal", "burst", "delay", "capacity", "scheduler",
       "scheme", "sched", "adapt", "warmup", "overhead", "window", "blockk",
-      "sources", "trials", "seed", "json", "dump-spec", "trial-timeout-ms",
-      FECSCHED_OBS_FLAGS, FECSCHED_OBS_OUT_FLAGS}},
-    {"run", cmd_run,
-     {"spec", "json", "gnuplot", "dump-spec", "checkpoint", "resume",
-      "trial-timeout-ms", FECSCHED_OBS_FLAGS, FECSCHED_OBS_OUT_FLAGS}},
-    {"history", cmd_history,
+      "sources", "trials", "seed", "json", "trial-timeout-ms"}},
+    {"run", build_run_spec, nullptr,
+     {"spec", "json", "gnuplot", "checkpoint", "resume", "trial-timeout-ms"}},
+    {"history", nullptr, cmd_history,
      {"ledger", "spec", "engine", "gf", "kind", "compact", "strict"}},
-    {"compare", cmd_compare,
+    {"compare", nullptr, cmd_compare,
      {"ledger", "spec", "engine", "gf", "kind", "threshold", "min-phase-ms",
       "min-wall", "strict"}},
-    {"list", cmd_list, {"describe"}},
+    {"list", nullptr, cmd_list, {"describe"}},
 };
-
-#undef FECSCHED_OBS_OUT_FLAGS
-#undef FECSCHED_OBS_FLAGS
 
 }  // namespace
 
@@ -1643,9 +1551,19 @@ int main(int argc, char** argv) {
     return 0;
   }
   for (const Command& command : kCommands) {
-    if (cmd == command.name) {
-      const Args args = parse_args(argc, argv, 2, cmd, command.allowed);
+    if (cmd != command.name) continue;
+    std::set<std::string> allowed = command.allowed;
+    if (command.build != nullptr)
+      allowed.insert(kEngineFlags.begin(), kEngineFlags.end());
+    const Args args = parse_args(argc, argv, 2, cmd, allowed);
+    if (command.build != nullptr)
+      return run_engine_command(cmd, args, command.build);
+    try {
       return command.handler(args);
+    } catch (const std::invalid_argument& e) {
+      // A malformed numeric flag (Args::value) is a usage error here too.
+      std::fprintf(stderr, "%s: %s\n", cmd.c_str(), e.what());
+      return 2;
     }
   }
   usage(stderr);
